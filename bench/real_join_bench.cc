@@ -209,7 +209,6 @@ void DiskGraceJoinBench(benchmark::State& state, bool checksums,
     BufferManager bm(cfg);
     DiskJoinConfig jc;
     jc.num_partitions = 8;
-    jc.page_checksums = checksums;
     DiskGraceJoin join(&bm, jc);
     auto b = join.StoreRelation(w.build);
     auto p = join.StoreRelation(w.probe);
@@ -557,7 +556,6 @@ int RunJsonHarness(const FlagParser& flags) {
             BufferManager bm(bmc);
             DiskJoinConfig jc;
             jc.num_partitions = 8;
-            jc.page_checksums = dc.checksums;
             DiskGraceJoin join(&bm, jc);
             auto b = join.StoreRelation(dw.build);
             auto p = join.StoreRelation(dw.probe);

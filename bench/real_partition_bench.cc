@@ -146,7 +146,6 @@ void DiskPartitionBench(benchmark::State& state, bool checksums,
     BufferManager bm(cfg);
     DiskJoinConfig jc;
     jc.num_partitions = 64;
-    jc.page_checksums = checksums;
     DiskGraceJoin join(&bm, jc);
     auto file = join.StoreRelation(input);
     if (!file.ok()) {

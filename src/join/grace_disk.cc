@@ -151,8 +151,9 @@ DiskPhaseStats DiskGraceJoin::Measure(Fn&& fn) {
 
 void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
                                    uint64_t page_index,
-                                   uint8_t* page_bytes) {
-  SlottedPage pg = SlottedPage::Attach(page_bytes);
+                                   const uint8_t* page_bytes) {
+  const SlottedPage pg =
+      SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
   FileStats& fs = file_stats_[file];
   for (int s = 0; s < pg.slot_count(); ++s) {
     uint16_t len = 0;
@@ -174,18 +175,7 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     }
   }
   fs.tuples += pg.slot_count();
-  if (config_.page_checksums) pg.StampChecksum();
   bm_->WritePageAsync(file, page_index, page_bytes);
-}
-
-Status DiskGraceJoin::VerifyPage(const uint8_t* page_bytes) const {
-  if (!config_.page_checksums) return Status::OK();
-  SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
-  if (!pg.VerifyChecksum()) {
-    return Status::DataLoss(
-        "slotted page failed end-to-end checksum verification");
-  }
-  return Status::OK();
 }
 
 StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
@@ -195,13 +185,8 @@ StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
         "relation pages must match the disk page size");
   }
   auto file = bm_->CreateFile();
-  // The relation is const, so checksums are stamped on a scratch copy of
-  // each page (WritePageAsync copies again into its own queue entry; the
-  // extra copy only affects this load utility, not the join phases).
-  std::vector<uint8_t> scratch(page_size_);
   for (size_t p = 0; p < rel.num_pages(); ++p) {
-    std::memcpy(scratch.data(), rel.page(p).data(), page_size_);
-    QueueWritePage(file, p, scratch.data());
+    QueueWritePage(file, p, rel.page(p).data());
   }
   HJ_RETURN_IF_ERROR(bm_->FlushWrites());
   return file;
@@ -232,7 +217,6 @@ Status DiskGraceJoin::PartitionInto(
   while (true) {
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
-    HJ_RETURN_IF_ERROR(VerifyPage(page));
     // The scan buffer is recycled on the next NextPage(), but tuples are
     // fully copied into output buffers within this iteration.
     SlottedPage in = SlottedPage::Attach(const_cast<uint8_t*>(page));
@@ -423,7 +407,6 @@ Status DiskGraceJoin::BuildAndProbe(
   while (true) {
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
-    HJ_RETURN_IF_ERROR(VerifyPage(page));
     SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page));
     ProbePageCounting(ht, pg, config_.join_scheme, config_.join_params,
                       matches);
@@ -441,7 +424,6 @@ Status DiskGraceJoin::JoinChunked(BufferManager::FileId build,
   while (true) {
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
-    HJ_RETURN_IF_ERROR(VerifyPage(page));
     uint64_t page_tuples =
         SlottedPage::Attach(const_cast<uint8_t*>(page)).slot_count();
     // Re-read the live budget per page: a broker revoke mid-chunk
@@ -482,7 +464,6 @@ Status DiskGraceJoin::JoinInMemory(BufferManager::FileId build,
     while (true) {
       HJ_RETURN_IF_ERROR(scan.NextPage(&page));
       if (page == nullptr) break;
-      HJ_RETURN_IF_ERROR(VerifyPage(page));
       pages.emplace_back(page, page + page_size_);
       tuples += SlottedPage::Attach(pages.back().data()).slot_count();
     }
@@ -523,7 +504,6 @@ Status DiskGraceJoin::JoinBlockNestedLoop(BufferManager::FileId build,
     while (true) {
       HJ_RETURN_IF_ERROR(pscan.NextPage(&ppage));
       if (ppage == nullptr) break;
-      HJ_RETURN_IF_ERROR(VerifyPage(ppage));
       SlottedPage pp = SlottedPage::Attach(const_cast<uint8_t*>(ppage));
       for (int ps = 0; ps < pp.slot_count(); ++ps) {
         uint16_t plen = 0;
@@ -550,7 +530,6 @@ Status DiskGraceJoin::JoinBlockNestedLoop(BufferManager::FileId build,
   while (true) {
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
-    HJ_RETURN_IF_ERROR(VerifyPage(page));
     // Per-page budget poll, like the chunked build: a revoke shrinks
     // the current block, a re-grant widens the next one.
     const uint64_t budget = EffectiveBudget();
@@ -708,7 +687,6 @@ Status DiskGraceJoin::UnspillPartition(PartitionResidency* res, uint32_t p,
   while (true) {
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
-    HJ_RETURN_IF_ERROR(VerifyPage(page));
     pages.emplace_back(page, page + page_size_);
     tuples += SlottedPage::Attach(pages.back().data()).slot_count();
   }
@@ -810,7 +788,6 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
         while (true) {
           HJ_RETURN_IF_ERROR(scan.NextPage(&page));
           if (page == nullptr) break;
-          HJ_RETURN_IF_ERROR(VerifyPage(page));
           SlottedPage in = SlottedPage::Attach(const_cast<uint8_t*>(page));
           for (int s = 0; s < in.slot_count(); ++s) {
             uint16_t len = 0;
@@ -887,7 +864,6 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
         while (true) {
           HJ_RETURN_IF_ERROR(scan.NextPage(&page));
           if (page == nullptr) break;
-          HJ_RETURN_IF_ERROR(VerifyPage(page));
           // A revoke mid-probe demotes victims here, at the page
           // boundary. That is safe because each probe tuple is probed
           // exactly once: tuples already probed against the demoted

@@ -89,12 +89,6 @@ struct DiskJoinConfig {
   /// the chunked build. 0 disables recursion entirely.
   uint32_t max_recursion_depth = 4;
 
-  /// Stamp a SlottedPage checksum into every page this join writes and
-  /// verify it on every page it reads back — an end-to-end integrity
-  /// check across the full I/O path, on top of the buffer manager's
-  /// per-page CRC.
-  bool page_checksums = true;
-
   /// Live memory budget (bytes) from a scheduler's memory-broker grant.
   /// When set and returning non-zero it overrides `memory_budget` and is
   /// re-read at every sizing decision — so a broker revoke mid-join
@@ -335,12 +329,10 @@ class DiskGraceJoin {
   /// splitting cannot make progress on such a partition).
   bool UniformHash(BufferManager::FileId file) const;
 
-  /// Stamps (if configured) and queues one page write, tallying stats.
-  /// Fire-and-forget: write errors surface at the next FlushWrites.
+  /// Queues one page write, tallying stats. Fire-and-forget: write
+  /// errors surface at the next FlushWrites.
   void QueueWritePage(BufferManager::FileId file, uint64_t page_index,
-                      uint8_t* page_bytes);
-  /// End-to-end verification of a page read back from storage.
-  Status VerifyPage(const uint8_t* page_bytes) const;
+                      const uint8_t* page_bytes);
 
   /// Splits `input` into `fanout` files. Level 0 hashes the 4-byte key;
   /// level >= 1 reroutes on SaltedRehash of the memoized hash code. The

@@ -201,12 +201,13 @@ void JoinScheduler::WaitAll() {
 ServiceStats JoinScheduler::Drain() {
   WaitAll();
   MutexLock lock(stats_mu_);
-  ServiceStats snapshot = stats_;
-  if (saw_submit_ && !snapshot.queries.empty()) {
-    snapshot.makespan_seconds =
+  ServiceStats drained = std::exchange(stats_, ServiceStats());
+  if (saw_submit_ && !drained.queries.empty()) {
+    drained.makespan_seconds =
         std::chrono::duration<double>(last_done_ - first_submit_).count();
   }
-  return snapshot;
+  saw_submit_ = false;
+  return drained;
 }
 
 }  // namespace hashjoin

@@ -104,8 +104,11 @@ class JoinScheduler {
   /// Blocks until every admitted query has completed.
   void WaitAll() HJ_EXCLUDES(mu_);
 
-  /// WaitAll(), then a snapshot of everything the service recorded.
-  /// Callable repeatedly; later calls see later completions too.
+  /// WaitAll(), then hands over everything the service recorded since
+  /// the previous Drain() (since construction, for the first call): the
+  /// counters, the per-query records and their makespan. The records
+  /// move to the caller, so a long-running service holds only those of
+  /// queries completed since its last drain, and draining copies none.
   ServiceStats Drain() HJ_EXCLUDES(mu_, stats_mu_);
 
   MemoryBroker& broker() { return broker_; }

@@ -59,7 +59,7 @@ struct QueryStats {
   std::vector<SpillLevelStats> spill_levels;
 };
 
-/// Service-level aggregate over one scheduler lifetime.
+/// Service-level aggregate between two JoinScheduler::Drain() calls.
 struct ServiceStats {
   uint64_t submitted = 0;         ///< Submit() calls that were admitted
   uint64_t rejected = 0;          ///< Submit() calls bounced off a full queue

@@ -80,7 +80,7 @@ Status BufferManager::ReadWithRetry(DiskWorker* w, const Request& req) {
       continue;
     }
     if (req.has_crc &&
-        Crc32(req.read_dst, config_.disk.page_size) != req.expected_crc) {
+        Crc32c(req.read_dst, config_.disk.page_size) != req.expected_crc) {
       checksum_failures_.fetch_add(1, std::memory_order_relaxed);
       last = Status::DataLoss("page checksum mismatch");
       if (attempt + 1 < config_.retry.max_attempts) {
@@ -131,7 +131,7 @@ Status BufferManager::WriteWithRetry(DiskWorker* w, const Request& req) {
       // reports success.
       Status rb = RawReadWithRetry(w, req.disk_page, w->verify_scratch.get());
       if (!rb.ok()) return rb;
-      if (Crc32(w->verify_scratch.get(), config_.disk.page_size) !=
+      if (Crc32c(w->verify_scratch.get(), config_.disk.page_size) !=
           req.expected_crc) {
         write_verify_failures_.fetch_add(1, std::memory_order_relaxed);
         last = Status::DataLoss("write verification failed (torn page)");
@@ -204,7 +204,7 @@ void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
   std::memcpy(copy, data, config_.disk.page_size);
   req->write_data = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(copy));
   if (config_.checksum_pages) {
-    req->expected_crc = Crc32(req->write_data.get(), config_.disk.page_size);
+    req->expected_crc = Crc32c(req->write_data.get(), config_.disk.page_size);
     req->has_crc = true;
   }
   {

@@ -59,9 +59,11 @@ struct BufferManagerConfig {
   uint32_t stripe_unit_pages = 32;  // 32 x 8KB = 256KB stripe unit
   uint32_t io_prefetch_depth = 96;  // read-ahead window per scan (3 stripes,
                                     // so several disks stream in parallel)
-  /// Per-page CRC32, computed when a page is queued for write and
+  /// Per-page CRC-32C, computed when a page is queued for write and
   /// verified (with retries) when it is read back. Catches torn pages
   /// and corruption anywhere between the write queue and the read frame.
+  /// This is the disk path's only integrity check: the CRC lives in the
+  /// file metadata, out of band, so page contents are never touched.
   bool checksum_pages = true;
   /// Read every written page back and compare checksums before declaring
   /// the write durable; mismatches trigger a rewrite. This is the
@@ -80,7 +82,7 @@ struct BufferManagerConfig {
 /// disks allow. Tracks the Figure-9 measurements: per-disk busy time and
 /// the main thread's time blocked waiting for workers.
 ///
-/// Fault tolerance: every page gets a CRC32 on write; reads verify it.
+/// Fault tolerance: every page gets a CRC-32C on write; reads verify it.
 /// Transient device errors and checksum mismatches are retried with
 /// bounded exponential backoff on the owning worker thread; only
 /// exhausted retries surface a Status (kDataLoss for persistent

@@ -27,10 +27,10 @@ class SlottedPage {
     uint16_t slot_count;
     uint16_t free_offset;  // start of unused space (grows up)
     uint32_t page_size;
-    /// CRC32 over the whole page with this field zeroed; stamped before
-    /// a page goes to storage, verified after it comes back. 0 on pages
-    /// that were never stamped (Format clears it).
-    uint32_t checksum;
+    /// Unused, zeroed by Format. Keeps the header at 12 bytes so page
+    /// capacity does not depend on it; page integrity on disk is
+    /// BufferManager's out-of-band CRC, not a field in the page.
+    uint32_t reserved;
   };
 
   struct Slot {
@@ -69,19 +69,6 @@ class SlottedPage {
   /// Bytes still available for one more tuple (data + slot entry).
   uint32_t FreeSpace() const;
 
-  /// CRC32 over the full page with the header checksum field treated as
-  /// zero (so stamping does not change what is summed).
-  uint32_t ComputeChecksum() const;
-
-  /// Writes ComputeChecksum() into the header. Call after the last
-  /// mutation, right before the page is handed to storage.
-  void StampChecksum();
-
-  /// True iff the stored checksum matches the page contents. Pages are
-  /// mutated in memory after Format/AddTuple without re-stamping, so only
-  /// call this on pages that round-tripped through storage.
-  bool VerifyChecksum() const;
-
   /// Address of the slot array entry (used by prefetching kernels).
   const Slot* GetSlot(int i) const {
     return reinterpret_cast<const Slot*>(base_ + header()->page_size) - 1 - i;
@@ -103,6 +90,9 @@ class SlottedPage {
 
   uint8_t* base_ = nullptr;
 };
+
+static_assert(sizeof(SlottedPage::PageHeader) == 12,
+              "page capacity (and simulated page layouts) depend on it");
 
 }  // namespace hashjoin
 

@@ -64,6 +64,12 @@ std::shared_ptr<ThreadPool::TaskGroup> ThreadPool::CreateGroup() {
   auto group = std::make_shared<TaskGroup>();
   group->pool_ = this;
   MutexLock lk(groups_mu_);
+  // Workers prune dropped groups only while they look for group work,
+  // so a pool that sits idle would otherwise keep one dead group per
+  // client (a long-running service: one per query) forever.
+  std::erase_if(groups_, [](const std::weak_ptr<TaskGroup>& g) {
+    return g.expired();
+  });
   groups_.push_back(group);
   return group;
 }

@@ -48,7 +48,8 @@ class ThreadPool {
 
   /// One client's share of a shared pool. Created by CreateGroup();
   /// lifetime is managed by shared_ptr — the pool keeps a weak reference
-  /// and prunes groups that clients dropped. All members are guarded by
+  /// and prunes groups that clients dropped (on every CreateGroup and
+  /// whenever a worker looks for group work). All members are guarded by
   /// the owning pool's groups_mu_ (one lock for the registry and the
   /// groups: the fair-share pick must compare queue depths across all
   /// groups atomically).

@@ -61,9 +61,11 @@ TEST(DiskGraceJoinTest, PartitionFilesPreserveEverything) {
   for (uint32_t p = 0; p < parts.size(); ++p) {
     auto scan = bm.OpenScan(parts[p]);
     const uint8_t* page = nullptr;
-    while (scan.NextPage(&page).ok() && page != nullptr) {
+    while (true) {
+      Status st = scan.NextPage(&page);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      if (page == nullptr) break;
       SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page));
-      EXPECT_TRUE(pg.VerifyChecksum());  // stamped by the join's writer
       total += pg.slot_count();
       for (int s = 0; s < pg.slot_count(); ++s) {
         // Memoized hash codes route every tuple to this partition.
@@ -72,6 +74,8 @@ TEST(DiskGraceJoinTest, PartitionFilesPreserveEverything) {
     }
   }
   EXPECT_EQ(total, input.num_tuples());
+  // Every partition page matched the CRC taken when the join queued it.
+  EXPECT_EQ(bm.recovery_stats().checksum_failures, 0u);
 }
 
 TEST(DiskGraceJoinTest, EmptyRelationsJoinToNothing) {

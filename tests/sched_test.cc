@@ -691,6 +691,40 @@ TEST(JoinSchedulerTest, BodyErrorsSurfaceAsFailedQueryStats) {
   EXPECT_EQ(stats.queries[0].status.code(), StatusCode::kDataLoss);
 }
 
+TEST(JoinSchedulerTest, DrainHandsOverOnlyWhatCompletedSinceTheLastDrain) {
+  SchedulerConfig cfg;
+  cfg.max_concurrent = 2;
+  cfg.max_queue = 4;
+  cfg.pool_threads = 1;
+  JoinScheduler sched(cfg);
+  auto submit = [&sched](const char* name) {
+    JoinRequest req;
+    req.name = name;
+    req.body = [](QueryContext&) -> StatusOr<uint64_t> { return 7; };
+    ASSERT_TRUE(sched.Submit(std::move(req)).ok());
+  };
+  submit("a");
+  submit("b");
+  ServiceStats first = sched.Drain();
+  EXPECT_EQ(first.submitted, 2u);
+  EXPECT_EQ(first.completed, 2u);
+  EXPECT_EQ(first.queries.size(), 2u);
+
+  submit("c");
+  ServiceStats second = sched.Drain();
+  EXPECT_EQ(second.submitted, 1u);
+  EXPECT_EQ(second.completed, 1u);
+  ASSERT_EQ(second.queries.size(), 1u);
+  EXPECT_EQ(second.queries[0].name, "c");
+  EXPECT_EQ(second.queries[0].output_tuples, 7u);
+  EXPECT_GE(second.makespan_seconds, 0.0);
+
+  ServiceStats empty = sched.Drain();
+  EXPECT_EQ(empty.submitted, 0u);
+  EXPECT_TRUE(empty.queries.empty());
+  EXPECT_EQ(empty.makespan_seconds, 0.0);
+}
+
 TEST(JoinSchedulerTest, SecondQueryRevokesFirstAndStatsRecordIt) {
   SchedulerConfig cfg;
   cfg.max_concurrent = 2;

@@ -5,7 +5,6 @@
 #include "gtest/gtest.h"
 #include "util/aligned.h"
 #include "util/bitops.h"
-#include "util/checksum.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -85,33 +84,6 @@ TEST(AssignOrReturnTest, AssignsValueAndPropagatesError) {
   auto err = fn(true);
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kIOError);
-}
-
-TEST(ChecksumTest, KnownVectors) {
-  // The canonical CRC-32 (reflected, poly 0xEDB88320) check value.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32("", 0), 0u);
-}
-
-TEST(ChecksumTest, ChainingMatchesOneShot) {
-  const char* data = "the quick brown fox jumps over the lazy dog";
-  size_t n = 43;
-  uint32_t whole = Crc32(data, n);
-  for (size_t split : {size_t(1), size_t(7), size_t(20), n - 1}) {
-    uint32_t part = Crc32(data, split);
-    EXPECT_EQ(Crc32(data + split, n - split, part), whole) << split;
-  }
-}
-
-TEST(ChecksumTest, SensitiveToSingleBitFlips) {
-  std::vector<uint8_t> buf(4096, 0xA5);
-  uint32_t base = Crc32(buf.data(), buf.size());
-  for (size_t bit : {size_t(0), size_t(9), size_t(4095 * 8 + 7)}) {
-    buf[bit / 8] ^= uint8_t(1u << (bit % 8));
-    EXPECT_NE(Crc32(buf.data(), buf.size()), base) << bit;
-    buf[bit / 8] ^= uint8_t(1u << (bit % 8));
-  }
-  EXPECT_EQ(Crc32(buf.data(), buf.size()), base);
 }
 
 TEST(RngTest, Deterministic) {
