@@ -58,43 +58,33 @@ const Relation& SharedFacts(uint64_t groups) {
   return it->second;
 }
 
-// range(0) = distinct group count; range(1) = G or D.
-void RunAgg(benchmark::State& state, int mode) {
+// range(0) = distinct group count; range(1) = G (group, coro width) or
+// D (swp).
+void RunAgg(benchmark::State& state, Scheme scheme) {
   uint64_t groups = uint64_t(state.range(0));
   const Relation& facts = SharedFacts(groups);
-  uint32_t param = uint32_t(state.range(1));
+  KernelParams params;
+  params.group_size = uint32_t(state.range(1));
+  params.prefetch_distance = params.group_size;
   RealMemory mm;
   for (auto _ : state) {
     state.PauseTiming();
     HashAggTable agg(NextRelativelyPrime(groups, 31));
     state.ResumeTiming();
-    switch (mode) {
-      case 0:
-        AggregateBaseline(mm, facts, 4, &agg);
-        break;
-      case 1:
-        AggregateGroup(mm, facts, 4, &agg, param);
-        break;
-      case 2:
-        AggregateSwp(mm, facts, 4, &agg, param);
-        break;
-#if HASHJOIN_HAS_COROUTINES
-      case 3:
-        AggregateCoro(mm, facts, 4, &agg, param);
-        break;
-#endif
-    }
+    AggregateRelation(mm, scheme, facts, 4, &agg, params);
     benchmark::DoNotOptimize(agg.num_groups());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(facts.num_tuples()));
 }
 
-void BM_Agg_Baseline(benchmark::State& state) { RunAgg(state, 0); }
-void BM_Agg_Group(benchmark::State& state) { RunAgg(state, 1); }
-void BM_Agg_Swp(benchmark::State& state) { RunAgg(state, 2); }
+void BM_Agg_Baseline(benchmark::State& state) {
+  RunAgg(state, Scheme::kBaseline);
+}
+void BM_Agg_Group(benchmark::State& state) { RunAgg(state, Scheme::kGroup); }
+void BM_Agg_Swp(benchmark::State& state) { RunAgg(state, Scheme::kSwp); }
 #if HASHJOIN_HAS_COROUTINES
-void BM_Agg_Coro(benchmark::State& state) { RunAgg(state, 3); }
+void BM_Agg_Coro(benchmark::State& state) { RunAgg(state, Scheme::kCoro); }
 #endif
 
 // {groups, G/D}; keys are uniform 32-bit, so "groups" ~= tuple count

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "join/aggregate_kernels.h"
+#include "join/exec_policy.h"
 #include "mem/memory_model.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -54,7 +54,10 @@ int main(int argc, char** argv) {
 
   HashAggTable base_agg(buckets);
   WallTimer t1;
-  AggregateBaseline(mm, facts, /*value_offset=*/4, &base_agg);
+  KernelParams params;
+  params.group_size = g;
+  AggregateRelation(mm, Scheme::kBaseline, facts, /*value_offset=*/4,
+                    &base_agg, params);
   double base_s = t1.ElapsedSeconds();
   std::printf("baseline:        %.3fs  (%.1fM tuples/s), %llu groups\n",
               base_s, double(tuples) / base_s / 1e6,
@@ -62,7 +65,8 @@ int main(int argc, char** argv) {
 
   HashAggTable gp_agg(buckets);
   WallTimer t2;
-  AggregateGroup(mm, facts, /*value_offset=*/4, &gp_agg, g);
+  AggregateRelation(mm, Scheme::kGroup, facts, /*value_offset=*/4, &gp_agg,
+                    params);
   double gp_s = t2.ElapsedSeconds();
   std::printf("group-prefetch:  %.3fs  (%.1fM tuples/s), %llu groups  "
               "[%.2fx]\n",

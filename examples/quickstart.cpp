@@ -2,8 +2,12 @@
 // group prefetching, verify the result count, and print per-phase times.
 //
 //   ./quickstart [--build_tuples=N] [--tuple_size=B] [--scheme=group]
+//
+// An unknown (or, without coroutine support, unavailable) --scheme
+// prints the valid names and exits 2 before any work is done.
 
 #include <cstdio>
+#include <string>
 
 #include "join/grace.h"
 #include "mem/memory_model.h"
@@ -15,6 +19,13 @@ using namespace hashjoin;
 int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
+  const std::string scheme_name = flags.GetString("scheme", "group");
+  Scheme s;
+  if (!ParseScheme(scheme_name, &s) || !SchemeAvailable(s)) {
+    std::fprintf(stderr, "unknown or unavailable --scheme=%s (valid: %s)\n",
+                 scheme_name.c_str(), SchemeNameList().c_str());
+    return 2;
+  }
 
   // 1. Describe the workload: tuples are a 4-byte key plus payload; every
   //    build tuple matches two probe tuples.
@@ -33,11 +44,6 @@ int main(int argc, char** argv) {
   //    cache-prefetching scheme for both phases.
   GraceConfig config;
   config.memory_budget = 8ull << 20;
-  std::string scheme = flags.GetString("scheme", "group");
-  Scheme s = scheme == "baseline" ? Scheme::kBaseline
-             : scheme == "simple" ? Scheme::kSimple
-             : scheme == "swp"    ? Scheme::kSwp
-                                  : Scheme::kGroup;
   config.partition_scheme = s;
   config.join_scheme = s;
 

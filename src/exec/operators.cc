@@ -331,7 +331,9 @@ Status AggregateOperator::Open() {
   RealMemory mm;
   HashAggTable agg(NextRelativelyPrime(
       std::max<uint64_t>(staged.num_tuples(), 3), 31));
-  AggregateGroup(mm, staged, value_offset_, &agg, group_size_);
+  KernelParams params;
+  params.group_size = group_size_;
+  AggregateRelation(mm, Scheme::kGroup, staged, value_offset_, &agg, params);
 
   agg.ForEachGroup([&](const AggState& s) {
     uint8_t row[20];

@@ -1,18 +1,16 @@
 #ifndef HASHJOIN_JOIN_AGGREGATE_KERNELS_H_
 #define HASHJOIN_JOIN_AGGREGATE_KERNELS_H_
 
-#include <algorithm>
 #include <cstring>
 #include <deque>
-#include <vector>
 
 #include "hash/hash_func.h"
 #include "hash/hash_table.h"
 #include "join/join_common.h"
+#include "join/pipeline.h"
 #include "model/cost_model.h"
 #include "simcache/sim_config.h"
 #include "storage/relation.h"
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace hashjoin {
@@ -178,113 +176,43 @@ inline void AggUpdate(MM& mm, AggPipelineState& st) {
   mm.Busy(cfg.cost_slot_bookkeeping);
 }
 
-/// Baseline hash aggregation: one tuple per iteration, no prefetching.
+/// Hash aggregation as a pipeline Op (join/pipeline.h): k = 2
+/// dependent references — the bucket visit, which resolves or creates
+/// the group state and prefetches it, and the accumulator update. Group
+/// creation completes inside the visit (see AggVisitBucket), so no stage
+/// ever conflicts: a later tuple of the same group observes the state.
 template <typename MM>
-void AggregateBaseline(MM& mm, const Relation& input, uint32_t value_offset,
-                       HashAggTable* agg) {
-  TupleCursor cursor(input);
-  AggPipelineState st;
-  while (AggStage0(mm, cursor, st, value_offset, agg->table(),
-                   /*prefetch=*/false)) {
-    st.state = AggVisitBucket(mm, agg, st.hash, st.key);
-    AggUpdate(mm, st);
+struct AggregateOp : ConflictFree<AggPipelineState> {
+  using State = AggPipelineState;
+  static constexpr uint32_t kStages = 2;
+
+  AggregateOp(MM& mm_in, const Relation& input, uint32_t offset,
+              HashAggTable* agg_in)
+      : mm(mm_in), cursor(input), value_offset(offset), agg(agg_in) {}
+
+  bool Begin(AggPipelineState& st, bool prefetch) {
+    return AggStage0(mm, cursor, st, value_offset, agg->table(), prefetch);
   }
-}
-
-/// Simple prefetching for aggregation: the stage-0 input-page prefetch
-/// plus the just-in-time bucket prefetch, issued immediately before the
-/// visit (same idea — and same limitation — as ProbeSimple).
-template <typename MM>
-void AggregateSimple(MM& mm, const Relation& input, uint32_t value_offset,
-                     HashAggTable* agg) {
-  TupleCursor cursor(input);
-  AggPipelineState st;
-  while (AggStage0(mm, cursor, st, value_offset, agg->table(),
-                   /*prefetch=*/true)) {
-    st.state = AggVisitBucket(mm, agg, st.hash, st.key);
-    AggUpdate(mm, st);
-  }
-}
-
-/// Group-prefetched hash aggregation (k = 2): stage 0 hashes a group of
-/// tuples and prefetches their buckets; stage 1 visits buckets, resolves
-/// or creates the group states, and prefetches them; stage 2 updates the
-/// accumulators.
-template <typename MM>
-void AggregateGroup(MM& mm, const Relation& input, uint32_t value_offset,
-                    HashAggTable* agg, uint32_t group_size) {
-  const auto& cfg = mm.config();
-  const uint32_t group = std::max(1u, group_size);
-  TupleCursor cursor(input);
-  std::vector<AggPipelineState> states(group);
-  HashTable& ht = agg->table();
-  bool more = true;
-  while (more) {
-    uint32_t g = 0;
-    while (g < group) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      if (!AggStage0(mm, cursor, states[g], value_offset, ht,
-                     /*prefetch=*/true)) {
-        more = false;
-        break;
-      }
-      ++g;
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      states[i].state =
-          AggVisitBucket(mm, agg, states[i].hash, states[i].key);
-      mm.Prefetch(states[i].state, sizeof(AggState));
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      AggUpdate(mm, states[i]);
-    }
-  }
-}
-
-/// Software-pipelined hash aggregation (k = 2): iteration j runs stage 0
-/// of tuple j, the bucket visit of tuple j-D, and the accumulator update
-/// of tuple j-2D, with the circular state array of §5.3. Group creation
-/// completes inside the bucket-visit stage (see AggVisitBucket), so —
-/// unlike join building — no waiting queue is needed: a later tuple of
-/// the same group observes the created state.
-template <typename MM>
-void AggregateSwp(MM& mm, const Relation& input, uint32_t value_offset,
-                  HashAggTable* agg, uint32_t prefetch_distance) {
-  const auto& cfg = mm.config();
-  const uint64_t d = std::max(1u, prefetch_distance);
-  const uint64_t ring = NextPowerOfTwo(2 * d + 1);
-  const uint64_t mask = ring - 1;
-  TupleCursor cursor(input);
-  std::vector<AggPipelineState> states(ring);
-  HashTable& ht = agg->table();
-
-  uint64_t n = UINT64_MAX;
-  uint64_t issued = 0;
-  for (uint64_t j = 0;; ++j) {
-    mm.Busy(cfg.cost_stage_overhead_spp);
-    if (j < n) {
-      if (AggStage0(mm, cursor, states[j & mask], value_offset, ht,
-                    /*prefetch=*/true)) {
-        ++issued;
-      } else {
-        n = issued;
-      }
-    }
-    if (j >= d && j - d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      AggPipelineState& st = states[(j - d) & mask];
+  template <uint32_t S>
+  bool Stage(AggPipelineState& st, uint32_t) {
+    if constexpr (S == 1) {
       st.state = AggVisitBucket(mm, agg, st.hash, st.key);
       mm.Prefetch(st.state, sizeof(AggState));
+    } else {
+      AggUpdate(mm, st);
     }
-    if (j >= 2 * d && j - 2 * d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      AggUpdate(mm, states[(j - 2 * d) & mask]);
-    }
-    if (n != UINT64_MAX && j >= 2 * d && j - 2 * d + 1 >= n) break;
+    return true;
   }
-}
+  void Serial(AggPipelineState& st) {
+    st.state = AggVisitBucket(mm, agg, st.hash, st.key);
+    AggUpdate(mm, st);
+  }
+
+  MM& mm;
+  TupleCursor cursor;
+  uint32_t value_offset;
+  HashAggTable* agg;
+};
 
 }  // namespace hashjoin
 

@@ -1,15 +1,12 @@
 #ifndef HASHJOIN_JOIN_BUILD_KERNELS_H_
 #define HASHJOIN_JOIN_BUILD_KERNELS_H_
 
-#include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "hash/hash_func.h"
 #include "hash/hash_table.h"
 #include "join/join_common.h"
 #include "storage/relation.h"
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace hashjoin {
@@ -189,151 +186,57 @@ inline void BuildStage2(BuildContext<MM>& ctx, BuildState& st) {
   st.append_pending = false;
 }
 
-/// GRACE baseline build.
+/// The hash-table build as a pipeline Op (join/pipeline.h): k = 2
+/// dependent references — the bucket header, the cell slot. A bucket
+/// another in-flight tuple is updating is a conflict; it is never
+/// resolved inline (the owner is mid-update), so the tuple is delayed
+/// (group), queued on the owner's state (SPP) or retried (coro).
 template <typename MM>
-void BuildBaseline(MM& mm, const Relation& build, HashTable* ht,
-                   const KernelParams& params) {
-  BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
-  BuildState st;
-  while (BuildStage0(ctx, st, /*prefetch=*/false)) {
-    BuildInsertSerial(ctx, st.tuple, st.hash);
-  }
-}
+struct BuildOp {
+  using State = BuildState;
+  static constexpr uint32_t kStages = 2;
 
-/// Simple prefetching build: whole-input-page prefetch plus a
-/// just-in-time bucket prefetch.
-template <typename MM>
-void BuildSimple(MM& mm, const Relation& build, HashTable* ht,
-                 const KernelParams& params) {
-  BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
-  BuildState st;
-  // A prefetching stage 0 is exactly the simple scheme: the wholesale
-  // input-page prefetch plus the just-in-time bucket prefetch ahead of
-  // the serial insert.
-  while (BuildStage0(ctx, st, /*prefetch=*/true)) {
-    BuildInsertSerial(ctx, st.tuple, st.hash);
-  }
-}
+  explicit BuildOp(BuildContext<MM>& c) : ctx(c) {}
 
-/// Group prefetching build (§4.4). Tuples that hash to a bucket another
-/// tuple of the same group is still updating are delayed to the end of
-/// the group body, where the bucket is guaranteed released (and cached).
-template <typename MM>
-void BuildGroup(MM& mm, const Relation& build, HashTable* ht,
-                const KernelParams& params) {
-  uint32_t group = params.EffectiveGroupSize();
-  BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
-  const auto& cfg = mm.config();
-  std::vector<BuildState> states(group);
-  std::vector<uint32_t> delayed;
-  delayed.reserve(group);
-  bool more = true;
-  // Group prefetching can tolerate any number of delayed tuples (skewed
-  // keys); `delayed` holds state indices, processed serially below.
-  while (more) {
-    // Group boundary: adopt a live-tuned G while no tuple is in flight.
-    const uint32_t next_group = params.EffectiveGroupSize();
-    if (next_group != group) {
-      group = next_group;
-      states.resize(group);
-      delayed.reserve(group);
-    }
-    uint32_t g = 0;
-    while (g < group) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      if (!BuildStage0(ctx, states[g], /*prefetch=*/true)) {
-        more = false;
-        break;
-      }
-      ++g;
-    }
-    delayed.clear();
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      if (!BuildStage1(ctx, states[i], /*prefetch=*/true,
-                       /*owner_tag=*/1)) {
-        delayed.push_back(i);
-      }
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      BuildStage2(ctx, states[i]);
-    }
-    // Natural group boundary: every in-flight bucket update finished, so
-    // delayed tuples insert serially without prefetching (§4.4).
-    for (uint32_t idx : delayed) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      BuildInsertSerial(ctx, states[idx].tuple, states[idx].hash);
+  bool Begin(BuildState& st, bool prefetch) {
+    return BuildStage0(ctx, st, prefetch);
+  }
+  /// The owner tag is the slot + 1, so SPP finds the owner's state.
+  template <uint32_t S>
+  bool Stage(BuildState& st, uint32_t slot) {
+    if constexpr (S == 1) {
+      return BuildStage1(ctx, st, /*prefetch=*/true, slot + 1);
+    } else {
+      BuildStage2(ctx, st);
+      return true;
     }
   }
-}
+  void Serial(BuildState& st) { BuildInsertSerial(ctx, st.tuple, st.hash); }
 
-/// Software-pipelined build (§5.3). Conflicting tuples join a waiting
-/// queue threaded through the state array; when the owning tuple's final
-/// stage releases the bucket, its waiters complete serially against the
-/// now-cached bucket.
-template <typename MM>
-void BuildSwp(MM& mm, const Relation& build, HashTable* ht,
-              const KernelParams& params) {
-  // Live-tuned D is adopted once per pass: ring size, stage offsets, and
-  // the waiting-queue state indices all depend on it.
-  const uint64_t d = params.EffectiveDistance();
-  constexpr uint32_t kStages = 2;  // k = 2 dependent references
-  BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
-  const auto& cfg = mm.config();
-  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);
-  const uint64_t mask = ring - 1;
-  std::vector<BuildState> states(ring);
-
-  auto drain_waiters = [&](BuildState& owner_state) {
-    int32_t w = owner_state.waiting_head;
-    owner_state.waiting_head = -1;
+  bool Resolve(BuildState&) { return false; }
+  /// Appends states[slot] to the bucket owner's waiting queue (§5.3).
+  void Park(BuildState* states, uint32_t slot) {
+    BuildState& st = states[slot];
+    BuildState& owner = states[st.bucket->owner - 1];
+    st.next_waiting = owner.waiting_head;
+    owner.waiting_head = int32_t(slot);
+  }
+  /// After the owner's code 2 released the bucket, its waiters insert
+  /// serially against the now-cached bucket.
+  template <typename F>
+  void Wake(BuildState* states, BuildState& owner, F&& done) {
+    int32_t w = owner.waiting_head;
+    owner.waiting_head = -1;
     while (w >= 0) {
       BuildState& ws = states[w];
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      BuildInsertSerial(ctx, ws.tuple, ws.hash);
+      done(ws);
       w = ws.next_waiting;
       ws.next_waiting = -1;
     }
-  };
-
-  uint64_t n = UINT64_MAX;
-  uint64_t issued = 0;
-  for (uint64_t j = 0;; ++j) {
-    mm.Busy(cfg.cost_stage_overhead_spp);
-    if (j < n) {
-      BuildState& st = states[j & mask];
-      if (BuildStage0(ctx, st, /*prefetch=*/true)) {
-        ++issued;
-      } else {
-        n = issued;
-      }
-    }
-    if (j >= d && j - d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      uint64_t e = (j - d) & mask;
-      BuildState& st = states[e];
-      uint32_t tag = uint32_t(e) + 1;
-      if (!BuildStage1(ctx, st, /*prefetch=*/true, tag)) {
-        // Busy bucket: append to the owner's waiting queue (§5.3).
-        BuildState& owner = states[st.bucket->owner - 1];
-        st.next_waiting = owner.waiting_head;
-        owner.waiting_head = int32_t(e);
-      }
-    }
-    if (j >= 2 * d && j - 2 * d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      BuildState& st = states[(j - 2 * d) & mask];
-      bool had_append = st.append_pending;
-      BuildStage2(ctx, st);
-      if (had_append || st.waiting_head >= 0) drain_waiters(st);
-    }
-    if (n != UINT64_MAX && j >= 2 * d && j - 2 * d + 1 >= n) break;
   }
-  return;
-}
 
-// The Scheme dispatcher (BuildPartition) lives in exec_policy.h.
+  BuildContext<MM>& ctx;
+};
 
 }  // namespace hashjoin
 

@@ -1,23 +1,23 @@
 #ifndef HASHJOIN_JOIN_EXEC_POLICY_H_
 #define HASHJOIN_JOIN_EXEC_POLICY_H_
 
-// Execution-policy dispatch: one Scheme-switched entry point per kernel
-// family (partition, build, probe, aggregate), layering the baseline,
-// simple, group (§4), software-pipelined (§5), and coroutine policies
-// over the shared stage functions. This mirrors the RealMemory/SimMemory
-// split one level up: the stage functions fix *what* a tuple's visit
-// does, a policy fixes *when* each stage runs relative to other tuples.
+// Execution-policy dispatch: one Scheme switch (RunScheme) choosing the
+// driver (join/pipeline.h), and one thin entry point per operation
+// (partition, build, probe, aggregate) that builds the operation's Op and
+// hands it over. The stage functions fix *what* a tuple's visit does, a
+// driver fixes *when* each stage runs relative to other tuples — the
+// RealMemory/SimMemory split one level up.
 //
-// The coroutine policy compiles only on toolchains with C++20 coroutine
+// The coroutine driver compiles only on toolchains with C++20 coroutine
 // support; elsewhere Scheme::kCoro reports unavailable (SchemeAvailable)
 // and dispatching it dies with a check failure rather than silently
 // falling back to a different policy.
 
 #include "join/aggregate_kernels.h"
 #include "join/build_kernels.h"
-#include "join/coro_kernels.h"
 #include "join/join_common.h"
 #include "join/partition_kernels.h"
+#include "join/pipeline.h"
 #include "join/probe_kernels.h"
 #include "util/logging.h"
 
@@ -32,40 +32,42 @@ inline void RequireSchemeCompiled(Scheme scheme) {
          "coroutines)";
 }
 
-/// Dispatches partitioning on scheme.
+/// The one Scheme switch: runs `op` under `scheme`'s driver
+/// (join/pipeline.h).
+template <typename MM, typename Op>
+void RunScheme(MM& mm, Scheme scheme, Op& op, const KernelParams& params) {
+  RequireSchemeCompiled(scheme);
+  switch (scheme) {
+    case Scheme::kBaseline:
+      return RunSerial(op, /*prefetch=*/false);
+    case Scheme::kSimple:
+      return RunSerial(op, /*prefetch=*/true);
+    case Scheme::kGroup:
+      return RunGroup(mm, op, params);
+    case Scheme::kSwp:
+      return RunPipelined(mm, op, params);
+    case Scheme::kCoro:
+      return RunCoro(mm, op, params);
+  }
+}
+
+/// Partitions `input` (the pages in `range`) into the sinks under
+/// `scheme`, then flushes every sink's partial page.
 template <typename MM>
 void PartitionRelation(MM& mm, Scheme scheme, const Relation& input,
                        PartitionSinkSet* sinks, uint32_t num_partitions,
                        const KernelParams& params,
                        uint32_t hash_divisor = 1,
                        PageRange range = PageRange{}) {
-  RequireSchemeCompiled(scheme);
-  switch (scheme) {
-    case Scheme::kBaseline:
-      return PartitionBaseline(mm, input, sinks, num_partitions, params,
-                               hash_divisor, range);
-    case Scheme::kSimple:
-      return PartitionSimple(mm, input, sinks, num_partitions, params,
-                             hash_divisor, range);
-    case Scheme::kGroup:
-      return PartitionGroup(mm, input, sinks, num_partitions, params,
-                            hash_divisor, range);
-    case Scheme::kSwp:
-      return PartitionSwp(mm, input, sinks, num_partitions, params,
-                          hash_divisor, range);
-    case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
-      return PartitionCoro(mm, input, sinks, num_partitions, params,
-                           hash_divisor, range);
-#else
-      return;  // unreachable: RequireSchemeCompiled checked
-#endif
-  }
+  PartitionContext<MM> ctx(&mm, sinks, num_partitions, input, hash_divisor,
+                           range);
+  PartitionOp<MM> op(ctx);
+  RunScheme(mm, scheme, op, params);
+  sinks->FinalFlushAll();
 }
 
 /// Combined scheme (§7.4): simple prefetching while the output buffers
-/// fit in the L2 cache, group / software-pipelined / coroutine
-/// interleaving beyond.
+/// fit in the L2 cache, `large_scheme` beyond.
 template <typename MM>
 void PartitionCombined(MM& mm, const Relation& input,
                        PartitionSinkSet* sinks, uint32_t num_partitions,
@@ -79,101 +81,44 @@ void PartitionCombined(MM& mm, const Relation& input,
   // Only a fraction of L2 is effectively available to the output
   // buffers: the input stream and miscellaneous structures continuously
   // pollute it (the paper's "other miscellaneous data structures").
-  if (working_set <= l2_bytes / 4) {
-    PartitionSimple(mm, input, sinks, num_partitions, params,
+  const Scheme scheme =
+      working_set <= l2_bytes / 4 ? Scheme::kSimple : large_scheme;
+  PartitionRelation(mm, scheme, input, sinks, num_partitions, params,
                     hash_divisor, range);
-  } else if (large_scheme == Scheme::kSwp ||
-             large_scheme == Scheme::kCoro) {
-    PartitionRelation(mm, large_scheme, input, sinks, num_partitions,
-                      params, hash_divisor, range);
-  } else {
-    PartitionGroup(mm, input, sinks, num_partitions, params, hash_divisor,
-                   range);
-  }
 }
 
-/// Dispatches hash-table building on scheme.
+/// Builds `ht` from `build` under `scheme`.
 template <typename MM>
 void BuildPartition(MM& mm, Scheme scheme, const Relation& build,
                     HashTable* ht, const KernelParams& params) {
-  RequireSchemeCompiled(scheme);
-  switch (scheme) {
-    case Scheme::kBaseline:
-      return BuildBaseline(mm, build, ht, params);
-    case Scheme::kSimple:
-      return BuildSimple(mm, build, ht, params);
-    case Scheme::kGroup:
-      return BuildGroup(mm, build, ht, params);
-    case Scheme::kSwp:
-      return BuildSwp(mm, build, ht, params);
-    case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
-      return BuildCoro(mm, build, ht, params);
-#else
-      return;  // unreachable: RequireSchemeCompiled checked
-#endif
-  }
+  BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
+  BuildOp<MM> op(ctx);
+  RunScheme(mm, scheme, op, params);
 }
 
-/// Dispatches probing on scheme. `stats` (optional) surfaces the pass's
-/// output/claim accounting for the scheme-equivalence tests.
+/// Probes `ht` with `probe` under `scheme`, writing the joined tuples
+/// to `out`; returns the output count. `stats` (optional) surfaces the
+/// pass's output/claim accounting for the scheme-equivalence tests.
 template <typename MM>
 uint64_t ProbePartition(MM& mm, Scheme scheme, const Relation& probe,
                         const HashTable& ht, uint32_t build_tuple_size,
                         const KernelParams& params, Relation* out,
                         ProbeStats* stats = nullptr) {
-  RequireSchemeCompiled(scheme);
-  switch (scheme) {
-    case Scheme::kBaseline:
-      return ProbeBaseline(mm, probe, ht, build_tuple_size, params, out,
-                           stats);
-    case Scheme::kSimple:
-      return ProbeSimple(mm, probe, ht, build_tuple_size, params, out,
-                         stats);
-    case Scheme::kGroup:
-      return ProbeGroup(mm, probe, ht, build_tuple_size, params, out,
-                        stats);
-    case Scheme::kSwp:
-      return ProbeSwp(mm, probe, ht, build_tuple_size, params, out, stats);
-    case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
-      return ProbeCoro(mm, probe, ht, build_tuple_size, params, out,
-                       stats);
-#else
-      return 0;  // unreachable: RequireSchemeCompiled checked
-#endif
-  }
-  return 0;
+  ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,
+                       probe.schema().fixed_size(), probe, out, params);
+  ProbeOp<MM> op(ctx);
+  RunScheme(mm, scheme, op, params);
+  return FinishProbe(ctx, stats);
 }
 
-/// Dispatches hash aggregation on scheme. Group takes its strip size and
-/// coro its interleave width from the effective (live-tuned or static)
-/// group size; SPP takes the effective prefetch distance. The dispatch
-/// is the pass boundary, so live overrides are adopted here.
+/// Aggregates `input` into `agg` under `scheme`: COUNT(*) and SUM of the
+/// 8-byte value at `value_offset`, grouped by the 4-byte key.
 template <typename MM>
 void AggregateRelation(MM& mm, Scheme scheme, const Relation& input,
                        uint32_t value_offset, HashAggTable* agg,
                        const KernelParams& params) {
-  RequireSchemeCompiled(scheme);
-  switch (scheme) {
-    case Scheme::kBaseline:
-      return AggregateBaseline(mm, input, value_offset, agg);
-    case Scheme::kSimple:
-      return AggregateSimple(mm, input, value_offset, agg);
-    case Scheme::kGroup:
-      return AggregateGroup(mm, input, value_offset, agg,
-                            params.EffectiveGroupSize());
-    case Scheme::kSwp:
-      return AggregateSwp(mm, input, value_offset, agg,
-                          params.EffectiveDistance());
-    case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
-      return AggregateCoro(mm, input, value_offset, agg,
-                           params.EffectiveGroupSize());
-#else
-      return;  // unreachable: RequireSchemeCompiled checked
-#endif
-  }
+  AggregateOp<MM> op(mm, input, value_offset, agg);
+  RunScheme(mm, scheme, op, params);
 }
 
 }  // namespace hashjoin

@@ -19,8 +19,8 @@ namespace {
 /// Probes one slot of a partition page against the build table, counting
 /// key matches. Shared by every execution policy below, so the policies
 /// differ only in prefetch scheduling, never in what a probe observes.
-inline void ProbeSlotCounting(const HashTable& ht, SlottedPage& pg, int s,
-                              uint64_t* matches) {
+inline void ProbeSlotCounting(const HashTable& ht, const SlottedPage& pg,
+                              int s, uint64_t* matches) {
   uint16_t len;
   const uint8_t* t = pg.GetTuple(s, &len);
   uint32_t key;
@@ -37,80 +37,44 @@ inline const BucketHeader* SlotBucket(const HashTable& ht,
   return ht.bucket(ht.BucketIndex(pg.GetHashCode(s)));
 }
 
-#if HASHJOIN_HAS_COROUTINES
-/// One probe chain over the page's slots: hash/prefetch, suspend, probe.
-KernelCoro ProbePageChain(RealMemory& mm, const HashTable& ht,
-                          SlottedPage& pg, int& next, uint64_t* matches) {
-  while (next < pg.slot_count()) {
-    const int s = next++;
-    mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
-    co_await KernelCoro::NextStage{};
-    ProbeSlotCounting(ht, pg, s, matches);
+/// The disk join's count-only page probe as a pipeline Op
+/// (join/pipeline.h): k = 1, the bucket visit. Every driver probes the
+/// slots in order, so the tally is scheme-independent.
+struct PageProbeOp : ConflictFree<uint16_t> {
+  using State = uint16_t;  // the slot being probed
+  static constexpr uint32_t kStages = 1;
+
+  PageProbeOp(const HashTable& ht_in, const SlottedPage& pg_in,
+              uint64_t* out)
+      : ht(ht_in), pg(pg_in), num_slots(pg_in.slot_count()), matches(out) {}
+
+  bool Begin(uint16_t& s, bool prefetch) {
+    if (next >= num_slots) return false;
+    s = uint16_t(next++);
+    if (prefetch) mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
+    return true;
   }
-}
-#endif
+  template <uint32_t>
+  bool Stage(uint16_t& s, uint32_t) {
+    ProbeSlotCounting(ht, pg, s, matches);
+    return true;
+  }
+  void Serial(uint16_t& s) { ProbeSlotCounting(ht, pg, s, matches); }
+
+  RealMemory mm;
+  const HashTable& ht;
+  SlottedPage pg;  // a view of the page
+  int num_slots;
+  uint64_t* matches;
+  int next = 0;
+};
 
 /// Count-only probe of one partition page under the disk join's
-/// configured execution policy. Slots are probed in order under every
-/// policy (group pass 2, SPP stage 2, and the coroutine chains all
-/// preserve slot order within their visit), so the tally is
-/// scheme-independent.
+/// configured execution policy.
 void ProbePageCounting(const HashTable& ht, SlottedPage& pg, Scheme scheme,
                        const KernelParams& params, uint64_t* matches) {
-  RealMemory mm;
-  const int n = pg.slot_count();
-  switch (scheme) {
-    case Scheme::kBaseline:
-      for (int s = 0; s < n; ++s) ProbeSlotCounting(ht, pg, s, matches);
-      return;
-    case Scheme::kSimple:
-      // Just-in-time bucket prefetch right before the visit (§7.1).
-      for (int s = 0; s < n; ++s) {
-        mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
-        ProbeSlotCounting(ht, pg, s, matches);
-      }
-      return;
-    case Scheme::kGroup: {
-      const int group = int(params.EffectiveGroupSize());
-      for (int base = 0; base < n; base += group) {
-        const int g = std::min(group, n - base);
-        for (int i = 0; i < g; ++i) {
-          mm.Prefetch(SlotBucket(ht, pg, base + i), sizeof(BucketHeader));
-        }
-        for (int i = 0; i < g; ++i) {
-          ProbeSlotCounting(ht, pg, base + i, matches);
-        }
-      }
-      return;
-    }
-    case Scheme::kSwp: {
-      const int d = int(params.EffectiveDistance());
-      for (int s = 0; s < std::min(d, n); ++s) {
-        mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
-      }
-      for (int j = 0; j < n; ++j) {
-        if (j + d < n) {
-          mm.Prefetch(SlotBucket(ht, pg, j + d), sizeof(BucketHeader));
-        }
-        ProbeSlotCounting(ht, pg, j, matches);
-      }
-      return;
-    }
-    case Scheme::kCoro: {
-#if HASHJOIN_HAS_COROUTINES
-      int next = 0;
-      RunCoroPipeline(mm, params.EffectiveGroupSize(), [&](uint32_t) {
-        return ProbePageChain(mm, ht, pg, next, matches);
-      });
-      return;
-#else
-      HJ_CHECK(SchemeAvailable(scheme))
-          << "disk join configured with the coro scheme on a toolchain "
-             "without C++20 coroutines";
-      return;
-#endif
-    }
-  }
+  PageProbeOp op(ht, pg, matches);
+  RunScheme(op.mm, scheme, op, params);
 }
 
 }  // namespace

@@ -30,7 +30,8 @@ namespace hashjoin {
 /// compares (§7.1) — the GRACE baseline, straightforward ("simple")
 /// prefetching, group prefetching (§4), and software-pipelined
 /// prefetching (§5) — plus the modern AMAC-style coroutine interleaving
-/// the paper's hand-scheduled state machines anticipate (coro_kernels.h).
+/// the paper's hand-scheduled state machines anticipate (RunCoro in
+/// pipeline.h).
 enum class Scheme {
   kBaseline,
   kSimple,

@@ -7,9 +7,9 @@
 
 #include "hash/hash_func.h"
 #include "join/join_common.h"
+#include "join/pipeline.h"
 #include "storage/relation.h"
 #include "util/aligned.h"
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace hashjoin {
@@ -263,174 +263,61 @@ inline void PartitionInsertSerial(PartitionContext<MM>& ctx,
   PartitionStage2(ctx, st);
 }
 
-/// GRACE baseline partitioning.
+/// Partitioning as a pipeline Op (join/pipeline.h): k = 2 dependent
+/// references — the sink descriptor, the output slot. A full output page
+/// is a conflict (§6): with no copies into it in flight it is written out
+/// and the claim retried inline; otherwise the tuple is delayed (group),
+/// queued on the sink (SPP) or retried (coro) until the copies drain.
 template <typename MM>
-void PartitionBaseline(MM& mm, const Relation& input,
-                       PartitionSinkSet* sinks, uint32_t num_partitions,
-                       const KernelParams& params,
-                       uint32_t hash_divisor = 1,
-                       PageRange range = PageRange{}) {
-  PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,
-                           hash_divisor, range);
-  PartitionState st;
-  while (PartitionStage0(ctx, st, /*prefetch=*/false,
-                         /*prefetch_input_pages=*/false)) {
-    PartitionInsertSerial(ctx, st);
-  }
-  sinks->FinalFlushAll();
-}
+struct PartitionOp {
+  using State = PartitionState;
+  static constexpr uint32_t kStages = 2;
 
-/// Simple prefetching (§6): prefetch each input page wholesale; with few
-/// partitions the output buffers stay cached and this is all that is
-/// needed. Also issues a just-in-time sink prefetch.
-template <typename MM>
-void PartitionSimple(MM& mm, const Relation& input, PartitionSinkSet* sinks,
-                     uint32_t num_partitions, const KernelParams& params,
-                     uint32_t hash_divisor = 1,
-                     PageRange range = PageRange{}) {
-  PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,
-                           hash_divisor, range);
-  PartitionState st;
-  while (PartitionStage0(ctx, st, /*prefetch=*/true,
-                         /*prefetch_input_pages=*/true)) {
-    PartitionInsertSerial(ctx, st);
-  }
-  sinks->FinalFlushAll();
-}
+  explicit PartitionOp(PartitionContext<MM>& c) : ctx(c) {}
 
-/// Group prefetching for the partition phase (§6): tuples that hit a full
-/// output page are delayed to the group boundary, when every claimed copy
-/// into that page has completed.
-template <typename MM>
-void PartitionGroup(MM& mm, const Relation& input, PartitionSinkSet* sinks,
-                    uint32_t num_partitions, const KernelParams& params,
-                    uint32_t hash_divisor = 1,
-                    PageRange range = PageRange{}) {
-  uint32_t group = params.EffectiveGroupSize();
-  PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,
-                           hash_divisor, range);
-  const auto& cfg = mm.config();
-  std::vector<PartitionState> states(group);
-  std::vector<uint32_t> delayed;
-  delayed.reserve(group);
-  bool more = true;
-  while (more) {
-    // Group boundary: adopt a live-tuned G while no tuple is in flight.
-    const uint32_t next_group = params.EffectiveGroupSize();
-    if (next_group != group) {
-      group = next_group;
-      states.resize(group);
-      delayed.reserve(group);
-    }
-    uint32_t g = 0;
-    while (g < group) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      if (!PartitionStage0(ctx, states[g], /*prefetch=*/true,
-                           /*prefetch_input_pages=*/true)) {
-        more = false;
-        break;
-      }
-      ++g;
-    }
-    delayed.clear();
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      if (!PartitionStage1(ctx, states[i], /*prefetch=*/true)) {
-        delayed.push_back(i);
-      }
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      PartitionStage2(ctx, states[i]);
-    }
-    // Group boundary: all copies done, full pages can be written out and
-    // the delayed tuples processed serially (§6).
-    for (uint32_t idx : delayed) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      PartitionInsertSerial(ctx, states[idx]);
+  bool Begin(PartitionState& st, bool prefetch) {
+    return PartitionStage0(ctx, st, prefetch,
+                           /*prefetch_input_pages=*/prefetch);
+  }
+  template <uint32_t S>
+  bool Stage(PartitionState& st, uint32_t) {
+    if constexpr (S == 1) {
+      return PartitionStage1(ctx, st, /*prefetch=*/true);
+    } else {
+      PartitionStage2(ctx, st);
+      return true;
     }
   }
-  sinks->FinalFlushAll();
-}
+  void Serial(PartitionState& st) { PartitionInsertSerial(ctx, st); }
 
-/// Software-pipelined prefetching for the partition phase (§6): a tuple
-/// hitting a full page whose claimed copies are still in flight joins the
-/// sink's waiting queue; the copy that drains `pending` to zero flushes
-/// the page and completes the waiters.
-template <typename MM>
-void PartitionSwp(MM& mm, const Relation& input, PartitionSinkSet* sinks,
-                  uint32_t num_partitions, const KernelParams& params,
-                  uint32_t hash_divisor = 1,
-                  PageRange range = PageRange{}) {
-  // Live-tuned D is adopted once per pass: ring size, stage offsets, and
-  // the sinks' waiting-queue state indices all depend on it.
-  const uint64_t d = params.EffectiveDistance();
-  constexpr uint32_t kStages = 2;  // k = 2 dependent references
-  PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,
-                           hash_divisor, range);
-  const auto& cfg = mm.config();
-  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);
-  const uint64_t mask = ring - 1;
-  std::vector<PartitionState> states(ring);
-
-  auto drain_waiters = [&](PartitionSink* sink) {
+  bool Resolve(PartitionState& st) {
+    if (st.sink->pending != 0) return false;
+    AccountedFlush(ctx, st.sink);
+    bool ok = PartitionStage1(ctx, st, /*prefetch=*/true);
+    HJ_CHECK(ok);
+    return true;
+  }
+  /// Appends states[slot] to its sink's waiting queue.
+  void Park(PartitionState* states, uint32_t slot) {
+    PartitionState& st = states[slot];
+    st.next_waiting = st.sink->waiting_head;
+    st.sink->waiting_head = int32_t(slot);
+  }
+  /// The copy that drains the sink's `pending` to zero lets the waiters
+  /// flush the page and insert serially.
+  template <typename F>
+  void Wake(PartitionState* states, PartitionState& st, F&& done) {
+    PartitionSink* sink = st.sink;
     while (sink->pending == 0 && sink->waiting_head >= 0) {
       PartitionState& ws = states[sink->waiting_head];
       sink->waiting_head = ws.next_waiting;
       ws.next_waiting = -1;
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      PartitionInsertSerial(ctx, ws);
+      done(ws);
     }
-  };
-
-  uint64_t n = UINT64_MAX;
-  uint64_t issued = 0;
-  for (uint64_t j = 0;; ++j) {
-    if (j < n) {
-      // Stage-0 slot overhead: charged only while tuples are still being
-      // issued, so the pipeline drain does not inflate short inputs.
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      PartitionState& st = states[j & mask];
-      if (PartitionStage0(ctx, st, /*prefetch=*/true,
-                          /*prefetch_input_pages=*/true)) {
-        ++issued;
-      } else {
-        n = issued;
-      }
-    }
-    if (j >= d && j - d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      uint64_t e = (j - d) & mask;
-      PartitionState& st = states[e];
-      if (!PartitionStage1(ctx, st, /*prefetch=*/true)) {
-        if (st.sink->pending == 0) {
-          // No copies in flight: flush immediately and retry.
-          AccountedFlush(ctx, st.sink);
-          bool ok = PartitionStage1(ctx, st, true);
-          HJ_CHECK(ok);
-        } else {
-          st.next_waiting = st.sink->waiting_head;
-          st.sink->waiting_head = int32_t(e);
-        }
-      }
-    }
-    if (j >= 2 * d && j - 2 * d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      PartitionState& st = states[(j - 2 * d) & mask];
-      PartitionSink* sink = st.sink;
-      PartitionStage2(ctx, st);
-      if (sink != nullptr) drain_waiters(sink);
-    }
-    // Drain window ends at the actual issued count: the last real tuple
-    // (n-1) finishes stage 2 at j = n - 1 + 2D, and an empty input needs
-    // no drain at all.
-    if (n != UINT64_MAX && (n == 0 || j + 1 >= n + 2 * d)) break;
   }
-  sinks->FinalFlushAll();
-}
 
-// The Scheme dispatchers (PartitionRelation, PartitionCombined) live in
-// exec_policy.h.
+  PartitionContext<MM>& ctx;
+};
 
 }  // namespace hashjoin
 

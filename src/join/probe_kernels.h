@@ -1,15 +1,13 @@
 #ifndef HASHJOIN_JOIN_PROBE_KERNELS_H_
 #define HASHJOIN_JOIN_PROBE_KERNELS_H_
 
-#include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "hash/hash_func.h"
 #include "hash/hash_table.h"
 #include "join/join_common.h"
+#include "join/pipeline.h"
 #include "storage/relation.h"
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace hashjoin {
@@ -293,153 +291,33 @@ inline void ProbeStage3(ProbeContext<MM>& ctx, ProbeState& st) {
   st.alive = false;
 }
 
-/// GRACE baseline probing: one tuple per iteration, no prefetching
-/// (Figure 3(a) generalized to the real multi-code-path algorithm).
+/// The probe as a pipeline Op (join/pipeline.h): k = 3 dependent
+/// references — the bucket header, the cell array, the build tuples.
 template <typename MM>
-uint64_t ProbeBaseline(MM& mm, const Relation& probe, const HashTable& ht,
-                       uint32_t build_tuple_size, const KernelParams& params,
-                       Relation* out, ProbeStats* stats = nullptr) {
-  ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,
-                       probe.schema().fixed_size(), probe, out,
-                       params);
-  ProbeState st;
-  while (ProbeStage0(ctx, st, /*prefetch=*/false)) {
-    ProbeStage1(ctx, st, false);
-    ProbeStage2(ctx, st, false);
-    ProbeStage3(ctx, st);
-  }
-  return FinishProbe(ctx, stats);
-}
+struct ProbeOp : ConflictFree<ProbeState> {
+  using State = ProbeState;
+  static constexpr uint32_t kStages = 3;
 
-/// Simple prefetching (§7.1): prefetch each input page wholesale when the
-/// scan enters it, and issue a just-in-time prefetch of the bucket
-/// header. The hash-table references stay unprefetched — their addresses
-/// only become known moments before the visit (the pointer-chasing
-/// problem, §3) — which is why the paper measures only a 1.1-1.2X gain.
-template <typename MM>
-uint64_t ProbeSimple(MM& mm, const Relation& probe, const HashTable& ht,
-                     uint32_t build_tuple_size, const KernelParams& params,
-                     Relation* out, ProbeStats* stats = nullptr) {
-  ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,
-                       probe.schema().fixed_size(), probe, out,
-                       params);
-  ProbeState st;
-  // A prefetching stage 0 is exactly the simple scheme: the wholesale
-  // input-page prefetch on page entry plus the just-in-time bucket
-  // prefetch, issued immediately before the stage-1 visit so its
-  // latency is barely overlapped.
-  while (ProbeStage0(ctx, st, /*prefetch=*/true)) {
+  explicit ProbeOp(ProbeContext<MM>& c) : ctx(c) {}
+
+  bool Begin(ProbeState& st, bool prefetch) {
+    return ProbeStage0(ctx, st, prefetch);
+  }
+  template <uint32_t S>
+  bool Stage(ProbeState& st, uint32_t) {
+    if constexpr (S == 1) ProbeStage1(ctx, st, /*prefetch=*/true);
+    if constexpr (S == 2) ProbeStage2(ctx, st, /*prefetch=*/true);
+    if constexpr (S == 3) ProbeStage3(ctx, st);
+    return true;
+  }
+  void Serial(ProbeState& st) {
     ProbeStage1(ctx, st, /*prefetch=*/false);
-    ProbeStage2(ctx, st, false);
+    ProbeStage2(ctx, st, /*prefetch=*/false);
     ProbeStage3(ctx, st);
   }
-  return FinishProbe(ctx, stats);
-}
 
-/// Group prefetching (§4): strip-mine the probe loop into groups of G
-/// tuples and run each code stage for the whole group, prefetching the
-/// next stage's references (Figure 3(b)/(d)).
-template <typename MM>
-uint64_t ProbeGroup(MM& mm, const Relation& probe, const HashTable& ht,
-                    uint32_t build_tuple_size, const KernelParams& params,
-                    Relation* out, ProbeStats* stats = nullptr) {
-  uint32_t group = params.EffectiveGroupSize();
-  ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,
-                       probe.schema().fixed_size(), probe, out,
-                       params);
-  const auto& cfg = mm.config();
-  std::vector<ProbeState> states(group);
-  bool more = true;
-  while (more) {
-    // Group boundary: the safe point to adopt a live-tuned G — no tuple
-    // is mid-pipeline, so resizing the state array loses nothing.
-    const uint32_t next_group = params.EffectiveGroupSize();
-    if (next_group != group) {
-      group = next_group;
-      states.resize(group);
-    }
-    uint32_t g = 0;
-    while (g < group) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      if (!ProbeStage0(ctx, states[g], /*prefetch=*/true)) {
-        more = false;
-        break;
-      }
-      ++g;
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      ProbeStage1(ctx, states[i], true);
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      ProbeStage2(ctx, states[i], true);
-    }
-    for (uint32_t i = 0; i < g; ++i) {
-      mm.Busy(cfg.cost_stage_overhead_gp);
-      ProbeStage3(ctx, states[i]);
-    }
-  }
-  return FinishProbe(ctx, stats);
-}
-
-/// Software-pipelined prefetching (§5): each iteration runs stage 0 of
-/// tuple j, stage 1 of tuple j-D, ..., stage 3 of tuple j-3D, with the
-/// per-tuple states in a power-of-two circular array indexed by bit
-/// masking (§5.3).
-template <typename MM>
-uint64_t ProbeSwp(MM& mm, const Relation& probe, const HashTable& ht,
-                  uint32_t build_tuple_size, const KernelParams& params,
-                  Relation* out, ProbeStats* stats = nullptr) {
-  // Live-tuned D is adopted once per pass: the ring size and the stage
-  // offsets are derived from it, so it cannot change mid-pipeline.
-  const uint64_t d = params.EffectiveDistance();
-  constexpr uint32_t kStages = 3;  // k = 3 dependent references
-  ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,
-                       probe.schema().fixed_size(), probe, out,
-                       params);
-  const auto& cfg = mm.config();
-  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);
-  const uint64_t mask = ring - 1;
-  std::vector<ProbeState> states(ring);
-
-  uint64_t n = UINT64_MAX;  // learned when the input runs out
-  uint64_t issued = 0;
-  for (uint64_t j = 0;; ++j) {
-    if (j < n) {
-      // Stage-0 slot overhead: charged only while tuples are still being
-      // issued, so the pipeline drain does not inflate short inputs.
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeState& st = states[j & mask];
-      if (ProbeStage0(ctx, st, /*prefetch=*/true)) {
-        ++issued;
-      } else {
-        n = issued;
-      }
-    }
-    if (j >= d && j - d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeStage1(ctx, states[(j - d) & mask], true);
-    }
-    if (j >= 2 * d && j - 2 * d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeStage2(ctx, states[(j - 2 * d) & mask], true);
-    }
-    if (j >= 3 * d && j - 3 * d < n) {
-      mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeStage3(ctx, states[(j - 3 * d) & mask]);
-    }
-    // Drain window ends at the actual issued count: the last real tuple
-    // (n-1) finishes stage 3 at j = n - 1 + 3D, and an empty input needs
-    // no drain at all.
-    if (n != UINT64_MAX && (n == 0 || j + 1 >= n + 3 * d)) break;
-  }
-  return FinishProbe(ctx, stats);
-}
-
-// The Scheme dispatcher (ProbePartition) lives in exec_policy.h, which
-// layers every execution policy — including the coroutine one — over
-// these stage functions.
+  ProbeContext<MM>& ctx;
+};
 
 }  // namespace hashjoin
 

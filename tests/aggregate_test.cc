@@ -2,7 +2,7 @@
 #include <map>
 
 #include "gtest/gtest.h"
-#include "join/aggregate_kernels.h"
+#include "join/exec_policy.h"
 #include "mem/memory_model.h"
 #include "util/bitops.h"
 #include "util/random.h"
@@ -54,13 +54,21 @@ void ExpectMatchesOracle(const HashAggTable& agg, const Relation& facts) {
   });
 }
 
+// Kernel parameters with group size `g` (the group scheme's strip size).
+KernelParams WithGroupSize(uint32_t g) {
+  KernelParams params;
+  params.group_size = g;
+  return params;
+}
+
 class AggregateGroupSizeTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(AggregateGroupSizeTest, MatchesOracle) {
   Relation facts = MakeFacts(20000, 3000, 11);
   RealMemory mm;
   HashAggTable agg(NextRelativelyPrime(3000, 31));
-  AggregateGroup(mm, facts, 4, &agg, GetParam());
+  AggregateRelation(mm, Scheme::kGroup, facts, 4, &agg,
+                    WithGroupSize(GetParam()));
   ExpectMatchesOracle(agg, facts);
 }
 
@@ -71,7 +79,7 @@ TEST(AggregateBaselineTest, MatchesOracle) {
   Relation facts = MakeFacts(20000, 3000, 12);
   RealMemory mm;
   HashAggTable agg(NextRelativelyPrime(3000, 31));
-  AggregateBaseline(mm, facts, 4, &agg);
+  AggregateRelation(mm, Scheme::kBaseline, facts, 4, &agg, KernelParams{});
   ExpectMatchesOracle(agg, facts);
 }
 
@@ -79,7 +87,8 @@ TEST(AggregateTest, SingleGroupAllTuples) {
   Relation facts = MakeFacts(5000, 1, 13);
   RealMemory mm;
   HashAggTable agg(101);
-  AggregateGroup(mm, facts, 4, &agg, 19);
+  AggregateRelation(mm, Scheme::kGroup, facts, 4, &agg,
+                    WithGroupSize(19));
   ASSERT_EQ(agg.num_groups(), 1u);
   agg.ForEachGroup([&](const AggState& s) {
     EXPECT_EQ(s.count, 5000u);
@@ -99,7 +108,8 @@ TEST(AggregateTest, EveryTupleItsOwnGroup) {
   }
   RealMemory mm;
   HashAggTable agg(NextRelativelyPrime(2000, 31));
-  AggregateGroup(mm, rel, 4, &agg, 19);
+  AggregateRelation(mm, Scheme::kGroup, rel, 4, &agg,
+                    WithGroupSize(19));
   EXPECT_EQ(agg.num_groups(), 2000u);
   agg.ForEachGroup([&](const AggState& s) {
     EXPECT_EQ(s.count, 1u);
@@ -111,7 +121,8 @@ TEST(AggregateTest, EmptyInput) {
   Relation rel(Schema::KeyPayload(16));
   RealMemory mm;
   HashAggTable agg(13);
-  AggregateGroup(mm, rel, 4, &agg, 19);
+  AggregateRelation(mm, Scheme::kGroup, rel, 4, &agg,
+                    WithGroupSize(19));
   EXPECT_EQ(agg.num_groups(), 0u);
 }
 
@@ -123,7 +134,8 @@ TEST(AggregateTest, SkewedDuplicatesWithinOneGroupBatch) {
   // value_offset beyond the tuple so only counts accumulate.
   RealMemory mm;
   HashAggTable agg(97);
-  AggregateGroup(mm, facts, /*value_offset=*/100, &agg, 37);
+  AggregateRelation(mm, Scheme::kGroup, facts, /*value_offset=*/100, &agg,
+                    WithGroupSize(37));
   uint64_t total = 0;
   agg.ForEachGroup([&](const AggState& s) { total += s.count; });
   EXPECT_EQ(total, facts.num_tuples());
@@ -134,7 +146,7 @@ TEST(AggregateTest, FindLocatesGroups) {
   Relation facts = MakeFacts(1000, 50, 31);
   RealMemory mm;
   HashAggTable agg(53);
-  AggregateBaseline(mm, facts, 4, &agg);
+  AggregateRelation(mm, Scheme::kBaseline, facts, 4, &agg, KernelParams{});
   auto oracle = Oracle(facts);
   for (auto& [key, cs] : oracle) {
     const AggState* s = agg.Find(key);
@@ -152,9 +164,11 @@ TEST(AggregateTest, SimulatedGroupPrefetchReducesStalls) {
     SimMemory mm(&simulator);
     HashAggTable agg(buckets);
     if (group) {
-      AggregateGroup(mm, facts, 4, &agg, 19);
+      AggregateRelation(mm, Scheme::kGroup, facts, 4, &agg,
+                        WithGroupSize(19));
     } else {
-      AggregateBaseline(mm, facts, 4, &agg);
+      AggregateRelation(mm, Scheme::kBaseline, facts, 4, &agg,
+                        KernelParams{});
     }
     return simulator.stats();
   };

@@ -5,7 +5,7 @@
 #include <map>
 
 #include "gtest/gtest.h"
-#include "join/aggregate_kernels.h"
+#include "join/exec_policy.h"
 #include "join/chained_kernels.h"
 #include "join/hybrid.h"
 #include "mem/memory_model.h"
@@ -298,9 +298,11 @@ TEST_P(AggregateSwpTest, MatchesBaseline) {
   }
   RealMemory mm;
   HashAggTable base(NextRelativelyPrime(3000, 31));
-  AggregateBaseline(mm, facts, 4, &base);
+  KernelParams params;
+  params.prefetch_distance = GetParam();
+  AggregateRelation(mm, Scheme::kBaseline, facts, 4, &base, params);
   HashAggTable swp(NextRelativelyPrime(3000, 31));
-  AggregateSwp(mm, facts, 4, &swp, GetParam());
+  AggregateRelation(mm, Scheme::kSwp, facts, 4, &swp, params);
   ASSERT_EQ(swp.num_groups(), base.num_groups());
   base.ForEachGroup([&](const AggState& s) {
     const AggState* other = swp.Find(s.key);
@@ -317,7 +319,9 @@ TEST(AggregateSwpTest, EmptyInput) {
   Relation rel(Schema::KeyPayload(16));
   RealMemory mm;
   HashAggTable agg(13);
-  AggregateSwp(mm, rel, 4, &agg, 4);
+  KernelParams params;
+  params.prefetch_distance = 4;
+  AggregateRelation(mm, Scheme::kSwp, rel, 4, &agg, params);
   EXPECT_EQ(agg.num_groups(), 0u);
 }
 

@@ -144,7 +144,7 @@ TEST_P(ProbeSchemeTest, OutputMatchesExpectedExactly) {
   params.prefetch_distance = GetParam().prefetch_distance;
 
   HashTable ht(ChooseBucketCount(w.build.num_tuples(), 31));
-  BuildBaseline(mm, w.build, &ht, params);
+  BuildPartition(mm, Scheme::kBaseline, w.build, &ht, params);
 
   Relation out(ConcatSchema(w.build.schema(), w.probe.schema()));
   uint64_t n = ProbePartition(mm, GetParam().scheme, w.probe, ht,
@@ -185,7 +185,7 @@ TEST_P(ProbeSchemeTest, ZeroMatchesWhenDisjoint) {
   params.group_size = GetParam().group_size;
   params.prefetch_distance = GetParam().prefetch_distance;
   HashTable ht(ChooseBucketCount(w.build.num_tuples(), 31));
-  BuildBaseline(mm, w.build, &ht, params);
+  BuildPartition(mm, Scheme::kBaseline, w.build, &ht, params);
   Relation out(ConcatSchema(w.build.schema(), probe.schema()));
   EXPECT_EQ(ProbePartition(mm, GetParam().scheme, probe, ht, 16, params,
                            &out),
@@ -215,7 +215,7 @@ TEST_P(ProbeSchemeTest, ManyMatchesPerProbeOverflowPath) {
   params.group_size = GetParam().group_size;
   params.prefetch_distance = GetParam().prefetch_distance;
   HashTable ht(7);
-  BuildBaseline(mm, build, &ht, params);
+  BuildPartition(mm, Scheme::kBaseline, build, &ht, params);
   Relation out(ConcatSchema(schema, schema));
   EXPECT_EQ(ProbePartition(mm, GetParam().scheme, probe, ht, 16, params,
                            &out),
@@ -234,7 +234,7 @@ TEST_P(ProbeSchemeTest, EmptyProbeInput) {
   KernelParams params;
   params.group_size = GetParam().group_size;
   params.prefetch_distance = GetParam().prefetch_distance;
-  BuildBaseline(mm, build, &ht, params);
+  BuildPartition(mm, Scheme::kBaseline, build, &ht, params);
   Relation out(ConcatSchema(schema, schema));
   EXPECT_EQ(ProbePartition(mm, GetParam().scheme, probe, ht, 16, params,
                            &out),

@@ -17,7 +17,7 @@
 #include "util/random.h"
 
 #if HASHJOIN_HAS_COROUTINES
-#include "join/coro_kernels.h"
+#include "join/pipeline.h"
 #endif
 
 namespace hashjoin {
