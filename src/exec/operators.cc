@@ -133,6 +133,7 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> build_child,
       output_schema_(ConcatSchema(build_child_->output_schema(),
                                   probe_child_->output_schema())),
       build_side_(build_child_->output_schema()),
+      probe_batch_(probe_child_->output_schema()),
       out_buffer_(output_schema_) {
   // Operator inputs are arbitrary children, not partition pages with
   // memoized slots, so hash codes are computed from the keys.
@@ -169,42 +170,19 @@ Status HashJoinOperator::Open() {
 bool HashJoinOperator::Next(RowBatch* out) {
   out->Clear();
   RealMemory mm;
-  // Pull probe batches until one produces output (or input ends). Each
-  // batch runs as one prefetch group through the staged pipeline and the
-  // operator "pauses at the group boundary" to emit (§5.4).
-  RowBatch probe_batch;
+  // Pull probe batches until one produces output (or input ends); each
+  // batch runs through the scheme's driver and the operator "pauses at
+  // the batch boundary" to emit (§5.4).
+  RowBatch rows;
   while (out->empty()) {
-    if (!probe_child_->Next(&probe_batch)) return false;
+    if (!probe_child_->Next(&rows)) return false;
+    probe_batch_.Clear();
+    for (const RowBatch::Row& row : rows.rows) {
+      probe_batch_.Append(row.data, row.length);
+    }
     out_buffer_.Clear();
-    ProbeContext<RealMemory> ctx(&mm, table_.get(), build_row_size_,
-                                 probe_child_->output_schema().fixed_size(),
-                                 build_side_, &out_buffer_, params_);
-    std::vector<ProbeState> states(probe_batch.size());
-    bool staged = scheme_ == Scheme::kGroup || scheme_ == Scheme::kSwp;
-    for (size_t i = 0; i < probe_batch.size(); ++i) {
-      ProbeState& st = states[i];
-      const RowBatch::Row& row = probe_batch.rows[i];
-      uint32_t key;
-      std::memcpy(&key, row.data, 4);
-      st.tuple = row.data;
-      st.hash = HashKey32(key);
-      st.bucket = table_->bucket(table_->BucketIndex(st.hash));
-      st.alive = true;
-      if (staged) PrefetchRead(st.bucket);
-    }
-    if (staged) {
-      for (auto& st : states) ProbeStage1(ctx, st, /*prefetch=*/true);
-      for (auto& st : states) ProbeStage2(ctx, st, true);
-      for (auto& st : states) ProbeStage3(ctx, st);
-    } else {
-      for (auto& st : states) {
-        ProbeStage1(ctx, st, false);
-        ProbeStage2(ctx, st, false);
-        ProbeStage3(ctx, st);
-      }
-    }
-    ctx.sink.Final();
-    rows_joined_ += ctx.output_count;
+    rows_joined_ += ProbePartition(mm, scheme_, probe_batch_, *table_,
+                                   build_row_size_, params_, &out_buffer_);
     // Hand the materialized outputs to the parent.
     for (size_t p = 0; p < out_buffer_.num_pages(); ++p) {
       const SlottedPage page = out_buffer_.page(p);

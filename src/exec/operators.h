@@ -79,13 +79,12 @@ class ProjectOperator : public Operator {
   RowBatch scratch_;
 };
 
-/// Group-prefetched hash equijoin operator (keys at offset 0 of both
-/// sides). Open() drains the build child into an in-memory hash table
-/// using the configured scheme. Each Next() pulls one probe batch, runs
-/// the staged probing pipeline over it — one batch is one prefetch group
-/// — and emits the concatenated outputs, pausing at the group boundary
-/// to hand the batch to the parent (§5.4). Output rows stay valid until
-/// the next Next() call.
+/// Prefetching hash equijoin operator (keys at offset 0 of both sides).
+/// Open() drains the build child into an in-memory hash table using the
+/// configured scheme. Each Next() pulls one probe batch, probes it with
+/// the same scheme's driver (ProbePartition) and emits the concatenated
+/// outputs, pausing at the batch boundary to hand them to the parent
+/// (§5.4). Output rows stay valid until the next Next() call.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(std::unique_ptr<Operator> build_child,
@@ -107,6 +106,7 @@ class HashJoinOperator : public Operator {
   Schema output_schema_;
   Relation build_side_;          // materialized build rows
   std::unique_ptr<HashTable> table_;
+  Relation probe_batch_;         // current batch's probe rows
   Relation out_buffer_;          // current batch's output rows
   uint64_t rows_joined_ = 0;
   uint32_t build_row_size_ = 0;

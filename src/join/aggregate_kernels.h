@@ -171,7 +171,9 @@ inline void AggUpdate(MM& mm, AggPipelineState& st) {
   const auto& cfg = mm.config();
   mm.Read(st.state, sizeof(AggState));
   st.state->count += 1;
-  st.state->sum += st.value;
+  // SUM wraps modulo 2^64 like the machine add; a signed += would make
+  // an overflowing input undefined behaviour.
+  st.state->sum = int64_t(uint64_t(st.state->sum) + uint64_t(st.value));
   mm.Write(st.state, sizeof(AggState));
   mm.Busy(cfg.cost_slot_bookkeeping);
 }

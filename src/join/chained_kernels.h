@@ -53,7 +53,8 @@ enum class ChainedPrefetch {
 /// issues the naive within-visit prefetch the paper's §3 argues cannot
 /// work: the next cell's address is only known once the current cell has
 /// already arrived, so the prefetch overlaps nothing but the hash-code
-/// comparison. This kernel exists to measure that argument.
+/// comparison. This kernel exists to measure that argument. A null `out`
+/// counts the matches without retaining them.
 template <typename MM>
 uint64_t ProbeChained(MM& mm, const Relation& probe,
                       const ChainedHashTable& ht, uint32_t build_tuple_size,
@@ -61,7 +62,7 @@ uint64_t ProbeChained(MM& mm, const Relation& probe,
                       HashCodeMode hash_mode = HashCodeMode::kMemoized) {
   const auto& cfg = mm.config();
   uint32_t probe_tuple_size = probe.schema().fixed_size();
-  OutputSink sink(out);
+  OutputSink sink(out, probe.page_size());
   TupleCursor cursor(probe);
   const SlottedPage::Slot* slot;
   const uint8_t* tuple;

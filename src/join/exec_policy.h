@@ -97,7 +97,8 @@ void BuildPartition(MM& mm, Scheme scheme, const Relation& build,
 }
 
 /// Probes `ht` with `probe` under `scheme`, writing the joined tuples
-/// to `out`; returns the output count. `stats` (optional) surfaces the
+/// to `out` (null: count only, through a recycled staging page); returns
+/// the output count. `stats` (optional) surfaces the
 /// pass's output/claim accounting for the scheme-equivalence tests.
 template <typename MM>
 uint64_t ProbePartition(MM& mm, Scheme scheme, const Relation& probe,

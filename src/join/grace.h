@@ -290,10 +290,11 @@ void PartitionWithPlan(MM& mm, const GraceConfig& config,
 
 /// Joins one (build partition, probe partition) pair entirely in memory:
 /// builds the hash table with `join_scheme`, then probes. Returns the
-/// number of output tuples appended to `out`. `hash_constraint` is the
-/// modulus all hash codes of this partition are constrained by (the
-/// partition count, or both level counts multiplied for two-step cache
-/// partitioning); the bucket count is chosen relatively prime to it.
+/// number of output tuples appended to `out` (null: counted only).
+/// `hash_constraint` is the modulus all hash codes of this partition are
+/// constrained by (the partition count, or both level counts multiplied
+/// for two-step cache partitioning); the bucket count is chosen
+/// relatively prime to it.
 template <typename MM>
 uint64_t JoinPartitionPair(MM& mm, Scheme scheme, const Relation& build_part,
                            const Relation& probe_part,
@@ -379,7 +380,8 @@ uint64_t JoinGracePartition(MM& mm, const GraceConfig& config,
 /// relations into memory-sized (or cache-sized, for the §7.5 comparison
 /// modes) partitions, followed by a join phase processing each pair with
 /// in-memory hash tables. `output` receives the concatenated result
-/// tuples; pass nullptr to count matches without retaining them.
+/// tuples; pass nullptr to count matches without retaining them (the
+/// probes then recycle their staging pages, the paper's output model).
 ///
 /// With config.num_threads > 1 both phases run on a work-stealing pool:
 /// partition pairs become morsels sorted largest-first (bounding tail
@@ -419,10 +421,6 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
   uint32_t num_parts = plan.FinalParts();
   result.num_partitions = num_parts;
 
-  Relation discard(ConcatSchema(build.schema(), probe.schema()),
-                   config.page_size);
-  Relation* out = output != nullptr ? output : &discard;
-
   // --- cache consult (single-partition plans only) ---
   // A hit pins the cached table and probes the *unpartitioned* probe
   // relation directly: with one partition the partition pass is a pure
@@ -441,7 +439,7 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
         result.output_tuples = ProbePartition(
             mm, config.join_scheme, probe, pinned.table(),
             pinned.build().schema().fixed_size(), config.join_params,
-            out);
+            output);
       });
       result.join_phase.tuples_processed = probe.num_tuples();
       return result;
@@ -481,7 +479,7 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
                      config.join_params);
       result.output_tuples = ProbePartition(
           mm, config.join_scheme, probe_parts[0], *ht,
-          build_part.schema().fixed_size(), config.join_params, out);
+          build_part.schema().fixed_size(), config.join_params, output);
       auto shared_build =
           std::make_shared<Relation>(std::move(build_part));
       config.table_cache->Offer(config.cache_key,
@@ -495,8 +493,7 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
     if (pool == nullptr) {
       for (uint32_t p = 0; p < num_parts; ++p) {
         result.output_tuples += JoinGracePartition(
-            mm, config, num_parts, build_parts[p], probe_parts[p], out);
-        if (output == nullptr) discard.Clear();
+            mm, config, num_parts, build_parts[p], probe_parts[p], output);
       }
       return;
     }
@@ -512,18 +509,22 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
       return a < b;
     });
     WorkerMemorySet<MM> wmem(mm, threads);
+    // Per-worker output relations only when the output is kept; a
+    // count-only join probes through recycled staging pages.
     std::vector<Relation> worker_out;
     std::vector<uint64_t> worker_counts(threads, 0);
-    worker_out.reserve(threads);
-    for (uint32_t w = 0; w < threads; ++w) {
-      worker_out.emplace_back(out->schema(), out->page_size());
+    if (output != nullptr) {
+      worker_out.reserve(threads);
+      for (uint32_t w = 0; w < threads; ++w) {
+        worker_out.emplace_back(output->schema(), output->page_size());
+      }
     }
     for (uint32_t p : order) {
       pool->Submit([&, p](uint32_t wid) {
         worker_counts[wid] += JoinGracePartition(
             wmem.model(wid), config, num_parts, build_parts[p],
-            probe_parts[p], &worker_out[wid]);
-        if (output == nullptr) worker_out[wid].Clear();
+            probe_parts[p],
+            output != nullptr ? &worker_out[wid] : nullptr);
       });
     }
     pool->Wait();

@@ -54,10 +54,6 @@ JoinResult HybridHashJoin(MM& mm, const Relation& build,
                            config.hybrid_allow_single_partition);
   result.num_partitions = num_parts;
 
-  Relation discard(ConcatSchema(build.schema(), probe.schema()),
-                   config.page_size);
-  Relation* out = output != nullptr ? output : &discard;
-
   // Partition-0 hash table, sized for its expected share of the build.
   HashTable ht(
       ChooseBucketCount(build.num_tuples() / num_parts + 1, num_parts));
@@ -109,7 +105,7 @@ JoinResult HybridHashJoin(MM& mm, const Relation& build,
       PartitionSinkSet sinks(&probe_parts, config.page_size);
       PartitionContext<MM> pctx(&mm, &sinks, num_parts, probe);
       ProbeContext<MM> octx(&mm, &ht, build.schema().fixed_size(),
-                            probe.schema().fixed_size(), probe, out,
+                            probe.schema().fixed_size(), probe, output,
                             config.join_params);
       TupleCursor cursor(probe);
       const SlottedPage::Slot* slot;
@@ -157,8 +153,7 @@ JoinResult HybridHashJoin(MM& mm, const Relation& build,
     for (uint32_t p = 0; p + 1 < num_parts; ++p) {
       result.output_tuples += JoinPartitionPair(
           mm, config.join_scheme, build_parts[p], probe_parts[p],
-          config.join_params, num_parts, out);
-      if (output == nullptr) discard.Clear();
+          config.join_params, num_parts, output);
     }
   });
   return result;

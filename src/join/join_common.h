@@ -230,10 +230,17 @@ class TupleCursor {
 /// Reuse keeps the output working set cache-resident, so — like the
 /// paper's machine — the join phase's cache misses are dominated by hash
 /// table visits, not by output stores.
+///
+/// A null `dest` is the count-only sink: a full buffer is recycled in
+/// place and nothing is retained, which is exactly the paper's model
+/// when the parent operator only counts. The staging page then has
+/// `page_size` bytes (a materializing sink uses the destination's).
 class OutputSink {
  public:
-  explicit OutputSink(Relation* dest)
-      : dest_(dest), page_size_(dest->page_size()) {
+  explicit OutputSink(Relation* dest,
+                      uint32_t page_size = kDefaultPageSize)
+      : dest_(dest),
+        page_size_(dest != nullptr ? dest->page_size() : page_size) {
     buffer_ = MakeAlignedBuffer<uint8_t>(page_size_, page_size_);
     view_ = SlottedPage::Format(buffer_.get(), page_size_);
   }
@@ -267,7 +274,7 @@ class OutputSink {
 
  private:
   void Flush() {
-    dest_->AppendCopiedPage(buffer_.get());
+    if (dest_ != nullptr) dest_->AppendCopiedPage(buffer_.get());
     view_ = SlottedPage::Format(buffer_.get(), page_size_);
   }
 

@@ -40,7 +40,7 @@ struct ProbeContext {
         ht(ht_in),
         build_tuple_size(build_size),
         probe_tuple_size(probe_size),
-        sink(out_in),
+        sink(out_in, probe.page_size()),
         hash_mode(params.hash_mode),
         prefetch_output(params.prefetch_output),
         cursor(probe) {}

@@ -174,8 +174,7 @@ TEST_P(HashJoinOperatorTest, JoinsAllMatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, HashJoinOperatorTest,
-                         ::testing::Values(Scheme::kBaseline,
-                                           Scheme::kGroup, Scheme::kSwp),
+                         ::testing::ValuesIn(AllSchemes()),
                          [](const auto& info) {
                            return SchemeName(info.param);
                          });

@@ -1,9 +1,16 @@
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstring>
+#include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "join/chained_kernels.h"
 #include "join/grace.h"
+#include "join/hybrid.h"
 #include "mem/memory_model.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -262,6 +269,146 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.group_size) + "_d" +
              std::to_string(info.param.prefetch_distance);
     });
+
+// ---------- count-only output (null destination) ----------
+
+class CountOnlySinkTest : public ::testing::TestWithParam<Scheme> {};
+
+// Runs `fn` in a forked child and returns the string it produced. Every
+// child starts from a copy of this process's heap, so two children
+// running the same allocation sequence get the same addresses.
+std::string InForkedChild(const std::function<std::string()>& fn) {
+  int fds[2];
+  if (pipe(fds) != 0) return "pipe failed";
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const std::string result = fn();
+    const ssize_t written = write(fds[1], result.data(), result.size());
+    _exit(written == ssize_t(result.size()) ? 0 : 1);
+  }
+  close(fds[1]);
+  std::string result;
+  char buf[512];
+  ssize_t n;
+  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
+    result.append(buf, size_t(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (pid < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    return "child failed";
+  }
+  return result;
+}
+
+JoinWorkload CountOnlyWorkload() {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 4000;
+  spec.tuple_size = 24;
+  spec.matches_per_build = 2.0;
+  spec.probe_match_fraction = 0.8;
+  return GenerateJoinWorkload(spec);
+}
+
+TEST_P(CountOnlySinkTest, ProbeCountsLikeTheMaterializingCall) {
+  JoinWorkload w = CountOnlyWorkload();
+  RealMemory mm;
+  KernelParams params;
+  params.group_size = 8;
+  params.prefetch_distance = 2;
+  HashTable ht(ChooseBucketCount(w.build.num_tuples(), 31));
+  BuildPartition(mm, Scheme::kBaseline, w.build, &ht, params);
+
+  Relation out(ConcatSchema(w.build.schema(), w.probe.schema()));
+  ProbeStats kept;
+  uint64_t n_kept = ProbePartition(mm, GetParam(), w.probe, ht, 24, params,
+                                   &out, &kept);
+  ProbeStats counted;
+  uint64_t n_counted = ProbePartition(mm, GetParam(), w.probe, ht, 24,
+                                      params, nullptr, &counted);
+  EXPECT_EQ(n_kept, w.expected_matches);
+  EXPECT_EQ(out.num_tuples(), w.expected_matches);
+  EXPECT_EQ(n_counted, n_kept);
+  EXPECT_EQ(counted.output_tuples, kept.output_tuples);
+  EXPECT_EQ(counted.claimed_prefetch_lines, kept.claimed_prefetch_lines);
+  EXPECT_EQ(counted.leaked_out_bytes, 0u);
+  EXPECT_EQ(kept.leaked_out_bytes, 0u);
+}
+
+TEST_P(CountOnlySinkTest, SimulatedStatsIdenticalToTheMaterializingCall) {
+  JoinWorkload w = CountOnlyWorkload();
+  RealMemory real;
+  KernelParams params;
+  params.group_size = 8;
+  params.prefetch_distance = 2;
+  HashTable ht(ChooseBucketCount(w.build.num_tuples(), 31));
+  BuildPartition(real, Scheme::kBaseline, w.build, &ht, params);
+
+  // Same table, same probe pages, a fresh simulator per call: only the
+  // output destination differs, and the materializing copy is uncharged.
+  // Each call runs in a forked child, so both start from the same heap
+  // and stage their output at the same simulated address.
+  Relation out(ConcatSchema(w.build.schema(), w.probe.schema()));
+  auto probe = [&](Relation* dest) {
+    return InForkedChild([&] {
+      sim::MemorySim simulator{sim::SimConfig{}};
+      SimMemory mm(&simulator);
+      uint64_t n = ProbePartition(mm, GetParam(), w.probe, ht, 24, params,
+                                  dest);
+      return std::to_string(n) + " outputs\n" + simulator.stats().ToString();
+    });
+  };
+  const std::string counted = probe(nullptr);
+  const std::string kept = probe(&out);
+  EXPECT_EQ(counted, kept);
+  EXPECT_EQ(kept.substr(0, kept.find(' ')),
+            std::to_string(w.expected_matches));
+}
+
+TEST_P(CountOnlySinkTest, GraceAndHybridJoinsCountAtOneAndFourThreads) {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 20000;
+  spec.tuple_size = 20;
+  spec.matches_per_build = 2.0;
+  spec.probe_match_fraction = 0.75;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+  for (uint32_t threads : {1u, 4u}) {
+    GraceConfig config;
+    config.memory_budget = 150 * 1024;  // several partitions
+    config.partition_scheme = GetParam();
+    config.join_scheme = GetParam();
+    config.page_size = 2048;
+    config.num_threads = threads;
+    RealMemory mm;
+    JoinResult grace = GraceHashJoin(mm, w.build, w.probe, config, nullptr);
+    EXPECT_EQ(grace.output_tuples, w.expected_matches) << threads;
+    EXPECT_GT(grace.num_partitions, 1u);
+    JoinResult hybrid =
+        HybridHashJoin(mm, w.build, w.probe, config, nullptr);
+    EXPECT_EQ(hybrid.output_tuples, w.expected_matches) << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, CountOnlySinkTest,
+                         ::testing::ValuesIn(AllSchemes()),
+                         [](const auto& info) {
+                           return SchemeName(info.param);
+                         });
+
+TEST(CountOnlySinkTest, ChainedProbeCountsWithoutOutput) {
+  JoinWorkload w = CountOnlyWorkload();
+  RealMemory mm;
+  ChainedHashTable ht(ChooseBucketCount(w.build.num_tuples(), 31));
+  BuildChained(mm, w.build, &ht);
+  Relation out(ConcatSchema(w.build.schema(), w.probe.schema()));
+  EXPECT_EQ(ProbeChained(mm, w.probe, ht, 24, ChainedPrefetch::kNone, &out),
+            w.expected_matches);
+  EXPECT_EQ(ProbeChained(mm, w.probe, ht, 24, ChainedPrefetch::kNone,
+                         nullptr),
+            w.expected_matches);
+}
 
 // ---------- partition kernels ----------
 

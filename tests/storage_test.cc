@@ -1,6 +1,11 @@
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "gtest/gtest.h"
 #include "storage/buffer_manager.h"
@@ -185,6 +190,177 @@ TEST(RelationTest, ClearReleasesEverything) {
   EXPECT_EQ(rel.num_pages(), 0u);
   EXPECT_EQ(rel.PeekAppendAddr(), nullptr);
 }
+
+// ---------- relation page storage (chunks) ----------
+
+// Appends `n` 16-byte tuples whose key is `first`, `first + 1`, ...
+void AppendKeys(Relation* rel, uint32_t first, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    uint8_t t[16] = {};
+    const uint32_t key = first + i;
+    std::memcpy(t, &key, 4);
+    rel->Append(t, 16, key);
+  }
+}
+
+// The keys of `rel` in order.
+std::vector<uint32_t> Keys(const Relation& rel) {
+  std::vector<uint32_t> keys;
+  rel.ForEachTuple([&](const uint8_t* t, uint16_t, uint32_t) {
+    uint32_t key;
+    std::memcpy(&key, t, 4);
+    keys.push_back(key);
+  });
+  return keys;
+}
+
+// Whether any page of `a` overlaps any page of `b`.
+bool PagesOverlap(const Relation& a, const Relation& b) {
+  const size_t size = a.page_size();
+  for (size_t i = 0; i < a.num_pages(); ++i) {
+    const uint8_t* pa = a.page(i).data();
+    for (size_t j = 0; j < b.num_pages(); ++j) {
+      const uint8_t* pb = b.page(j).data();
+      if (pa < pb + size && pb < pa + size) return true;
+    }
+  }
+  return false;
+}
+
+TEST(RelationPagesTest, PagesAlignedToPageSize) {
+  for (uint32_t page_size : {512u, 8192u}) {
+    Relation rel(Schema::KeyPayload(16), page_size);
+    Relation src(Schema::KeyPayload(16), page_size);
+    AppendKeys(&src, 0, 10);
+    // Enough pages to pass the largest chunk size several times, with
+    // copied pages interleaved with appended ones.
+    while (rel.num_pages() < 4 * Relation::kMaxChunkPages) {
+      AppendKeys(&rel, 0, 50);
+      rel.AppendCopiedPage(src.page(0).data());
+    }
+    for (size_t i = 0; i < rel.num_pages(); ++i) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(rel.page(i).data()) % page_size,
+                0u)
+          << "page " << i << " of " << page_size;
+    }
+  }
+}
+
+TEST(RelationPagesTest, MovedFromAndTargetAppendToDisjointPages) {
+  Relation a(Schema::KeyPayload(16), 512);
+  AppendKeys(&a, 0, 100);  // several pages, a partly used chunk
+  ASSERT_GT(a.num_pages(), 2u);
+  Relation b(std::move(a));
+  // The moved-from state is the subject of this test.
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  EXPECT_EQ(a.num_pages(), 0u);
+  AppendKeys(&a, 1000, 100);
+  AppendKeys(&b, 100, 100);
+  EXPECT_FALSE(PagesOverlap(a, b));
+  std::vector<uint32_t> want_b(200);
+  std::iota(want_b.begin(), want_b.end(), 0u);
+  EXPECT_EQ(Keys(b), want_b);
+  std::vector<uint32_t> want_a(100);
+  std::iota(want_a.begin(), want_a.end(), 1000u);
+  EXPECT_EQ(Keys(a), want_a);
+
+  // Move assignment leaves the source just as empty.
+  Relation c(Schema::KeyPayload(16), 512);
+  AppendKeys(&c, 5000, 3);
+  c = std::move(b);
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  AppendKeys(&b, 2000, 100);
+  AppendKeys(&c, 200, 100);
+  EXPECT_FALSE(PagesOverlap(b, c));
+  EXPECT_EQ(Keys(c).size(), 300u);
+  EXPECT_EQ(Keys(b).size(), 100u);
+}
+
+TEST(RelationPagesTest, AbsorbThenAppendNeverWritesIntoAbsorbedChunk) {
+  Relation a(Schema::KeyPayload(16), 512);
+  Relation b(Schema::KeyPayload(16), 512);
+  AppendKeys(&a, 0, 40);
+  // 20 tuples per 512-byte page: 5 pages in chunks of 1, 2 and 4 pages,
+  // so b's newest chunk (pages 3-6) has two pages b never used.
+  AppendKeys(&b, 1000, 100);
+  ASSERT_EQ(b.num_pages(), 5u);
+  const uint8_t* chunk_begin = b.page(3).data();
+  const uint8_t* chunk_end = chunk_begin + 4 * 512;
+  a.Absorb(&b);
+  EXPECT_EQ(b.num_pages(), 0u);
+
+  Relation src(Schema::KeyPayload(16), 512);
+  AppendKeys(&src, 9000, 5);
+  const size_t before = a.num_pages();
+  AppendKeys(&a, 40, 200);
+  a.AppendCopiedPage(src.page(0).data());
+  AppendKeys(&b, 3000, 200);  // the emptied source starts over
+  for (size_t i = before; i < a.num_pages(); ++i) {
+    const uint8_t* p = a.page(i).data();
+    EXPECT_FALSE(p >= chunk_begin && p < chunk_end) << "page " << i;
+  }
+  EXPECT_FALSE(PagesOverlap(a, b));
+  // The absorbed tuples are intact, after a's own.
+  std::vector<uint32_t> keys = Keys(a);
+  ASSERT_EQ(keys.size(), 40u + 100u + 200u + 5u);
+  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(keys[40 + i], 1000 + i);
+}
+
+TEST(RelationPagesTest, AdoptPageAfterChunkedAppendsKeepsAppendPageLast) {
+  Relation rel(Schema::KeyPayload(16), 512);
+  AppendKeys(&rel, 0, 100);
+  const uint8_t* tail_before = rel.PeekAppendAddr();
+  void* raw = AlignedAlloc(512, 512);
+  SlottedPage pg = SlottedPage::Format(raw, 512);
+  char t[16] = {};
+  pg.AddTuple(t, 16, 0);
+  rel.AdoptPage(AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw)));
+  EXPECT_EQ(rel.PeekAppendAddr(), tail_before);
+  EXPECT_EQ(rel.page(rel.num_pages() - 2).data(), raw);
+  AppendKeys(&rel, 100, 1);
+  EXPECT_EQ(rel.num_tuples(), 102u);
+}
+
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HJ_SANITIZER_OWNS_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HJ_SANITIZER_OWNS_MALLOC 1
+#endif
+#endif
+
+// Heap bytes taken from the system: the arena (including the free gaps
+// an aligned allocation leaves in front of its block) plus mmapped
+// blocks. mallinfo2's in-use count alone would miss those gaps.
+size_t HeapFootprint() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.arena + mi.hblkhd;
+}
+
+TEST(RelationPagesTest, HeapFootprintNearPayload) {
+#ifdef HJ_SANITIZER_OWNS_MALLOC
+  GTEST_SKIP() << "the sanitizer's allocator replaces glibc's heap";
+#endif
+  constexpr uint32_t kPage = 8192;
+  constexpr size_t kPages = 2048;
+  Relation src(Schema::KeyPayload(16), kPage);
+  AppendKeys(&src, 0, 10);
+  const size_t before = HeapFootprint();
+  Relation rel(Schema::KeyPayload(100), kPage);
+  uint8_t t[100] = {};
+  while (rel.num_pages() < kPages / 2) rel.Append(t, 100);
+  for (size_t i = 0; i < kPages / 2; ++i) {
+    rel.AppendCopiedPage(src.page(0).data());
+  }
+  ASSERT_EQ(rel.num_pages(), kPages);
+  const size_t grown = HeapFootprint() - before;
+  const size_t payload = kPages * kPage;
+  // One aligned allocation per page costs about two pages of heap each.
+  EXPECT_LE(grown, payload * 115 / 100);
+  EXPECT_GE(grown, payload / 2) << "the measurement missed the pages";
+}
+#endif
 
 TEST(SimulatedDiskTest, WriteThenReadRoundTrips) {
   DiskConfig cfg;

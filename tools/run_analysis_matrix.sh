@@ -6,8 +6,9 @@
 #   tools/run_analysis_matrix.sh --jobs=8
 #
 # Each preset configures into build-<preset>/, builds, and runs its
-# labeled ctest subset (asan/ubsan -> faults|coro — the coroutine-frame
-# tests run under both sanitizers, tsan -> threaded|sched, analysis ->
+# labeled ctest subset (asan/ubsan -> faults|coro|tuning|cache|kernels|
+# storage — the drivers' ring indexing and the relation page chunks run
+# under both sanitizers, tsan -> threaded|sched|tuning|cache, analysis ->
 # lint|bench-smoke, debug -> everything). The script keeps
 # going after a preset fails and exits nonzero if ANY step failed, so a
 # CI job reports the whole matrix in one run.
