@@ -22,7 +22,9 @@ HashTable::HashTable(uint64_t num_buckets) : num_buckets_(num_buckets) {
 HashCell* HashTable::ArenaAlloc(uint32_t cells) {
   if (arena_used_ + cells > arena_capacity_) {
     uint64_t block = std::max<uint64_t>(kArenaBlockCells, cells);
-    arena_blocks_.push_back(MakeAlignedBuffer<HashCell>(block));
+    // Unconstructed: append writes every cell before a probe reads it
+    // (only cells below count - 1 are read).
+    arena_blocks_.push_back(MakeUninitializedAlignedBuffer<HashCell>(block));
     arena_used_ = 0;
     arena_capacity_ = block;
   }

@@ -1,5 +1,7 @@
 #include "simcache/cache.h"
 
+#include <algorithm>
+
 #include "util/bitops.h"
 #include "util/logging.h"
 
@@ -8,73 +10,73 @@ namespace sim {
 
 SetAssocCache::SetAssocCache(uint32_t size, uint32_t assoc,
                              uint32_t line_size)
-    : line_size_(line_size), assoc_(assoc) {
+    : line_shift_(Log2(line_size)), assoc_(assoc) {
+  HJ_CHECK(assoc > 0);
+  HJ_CHECK(IsPowerOfTwo(line_size)) << "line_size must be a power of two";
   HJ_CHECK(size % (assoc * line_size) == 0)
       << "cache size must be a multiple of assoc * line_size";
-  num_sets_ = size / (assoc * line_size);
-  HJ_CHECK(IsPowerOfTwo(num_sets_));
-  ways_.resize(static_cast<size_t>(num_sets_) * assoc_);
-}
-
-SetAssocCache::LineInfo* SetAssocCache::Lookup(uint64_t line_addr) {
-  Way* set = &ways_[static_cast<size_t>(SetIndex(line_addr)) * assoc_];
-  for (uint32_t w = 0; w < assoc_; ++w) {
-    if (set[w].valid && set[w].tag == line_addr) {
-      set[w].lru = ++lru_clock_;
-      ++hits_;
-      return &set[w].info;
-    }
-  }
-  ++misses_;
-  return nullptr;
+  const uint32_t num_sets = size / (assoc * line_size);
+  HJ_CHECK(IsPowerOfTwo(num_sets));
+  set_mask_ = num_sets - 1;
+  const size_t ways = static_cast<size_t>(num_sets) * assoc_;
+  tags_ = MakeAlignedBuffer<uint64_t>(ways);
+  std::fill(tags_.get(), tags_.get() + ways, kInvalidTag);
+  lru_.resize(ways);
+  info_.resize(ways);
 }
 
 SetAssocCache::LineInfo* SetAssocCache::Insert(uint64_t line_addr) {
-  Way* set = &ways_[static_cast<size_t>(SetIndex(line_addr)) * assoc_];
+  const size_t base = SetBase(line_addr);
   for (uint32_t w = 0; w < assoc_; ++w) {
-    if (set[w].valid && set[w].tag == line_addr) {
+    if (tags_[base + w] == line_addr) {
       // Refill of a resident line: keep position, reset metadata.
-      set[w].lru = ++lru_clock_;
-      set[w].info = LineInfo{};
-      return &set[w].info;
+      lru_[base + w] = ++lru_clock_;
+      info_[base + w] = LineInfo{};
+      return &info_[base + w];
     }
   }
-  // Prefer an invalid way; otherwise evict the least recently used.
-  Way* victim = nullptr;
-  for (uint32_t w = 0; w < assoc_; ++w) {
-    if (!set[w].valid) {
-      victim = &set[w];
+  return InsertMissing(line_addr);
+}
+
+SetAssocCache::LineInfo* SetAssocCache::InsertMissing(uint64_t line_addr) {
+  HJ_DCHECK(line_addr != kInvalidTag);
+  const size_t base = SetBase(line_addr);
+  // Prefer the first invalid way; otherwise evict the least recently used.
+  size_t victim = base;
+  for (size_t w = base; w < base + assoc_; ++w) {
+    HJ_DCHECK(tags_[w] != line_addr);
+    if (tags_[w] == kInvalidTag) {
+      victim = w;
       break;
     }
-    if (victim == nullptr || set[w].lru < victim->lru) victim = &set[w];
+    if (lru_[w] < lru_[victim]) victim = w;
   }
-  HJ_DCHECK(victim != nullptr);
-  if (victim->valid && victim->info.prefetched && !victim->info.referenced) {
+  if (tags_[victim] != kInvalidTag && info_[victim].prefetched &&
+      !info_[victim].referenced) {
     ++evicted_before_use_;
   }
-  victim->valid = true;
-  victim->tag = line_addr;
-  victim->lru = ++lru_clock_;
-  victim->info = LineInfo{};
-  return &victim->info;
+  tags_[victim] = line_addr;
+  lru_[victim] = ++lru_clock_;
+  info_[victim] = LineInfo{};
+  return &info_[victim];
 }
 
 void SetAssocCache::Flush() {
-  for (Way& w : ways_) w.valid = false;
+  std::fill(tags_.get(), tags_.get() + lru_.size(), kInvalidTag);
 }
 
 void SetAssocCache::Invalidate(uint64_t line_addr) {
-  Way* set = &ways_[static_cast<size_t>(SetIndex(line_addr)) * assoc_];
-  for (uint32_t w = 0; w < assoc_; ++w) {
-    if (set[w].valid && set[w].tag == line_addr) set[w].valid = false;
+  const size_t base = SetBase(line_addr);
+  for (size_t w = base; w < base + assoc_; ++w) {
+    if (tags_[w] == line_addr) tags_[w] = kInvalidTag;
   }
 }
 
 void SetAssocCache::RebaseTime(uint64_t base) {
-  for (Way& w : ways_) {
-    if (!w.valid) continue;
-    w.info.ready_time =
-        w.info.ready_time > base ? w.info.ready_time - base : 0;
+  for (size_t w = 0; w < info_.size(); ++w) {
+    if (tags_[w] == kInvalidTag) continue;
+    uint64_t& t = info_[w].ready_time;
+    t = t > base ? t - base : 0;
   }
 }
 

@@ -1,8 +1,9 @@
 #ifndef HASHJOIN_SIMCACHE_MEMORY_SIM_H_
 #define HASHJOIN_SIMCACHE_MEMORY_SIM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "simcache/branch.h"
 #include "simcache/cache.h"
@@ -31,18 +32,33 @@ namespace sim {
 /// is exactly the cache/TLB/MSHR/bandwidth behaviour modeled here.
 class MemorySim {
  public:
+  /// Checks that the simulator can run `config`: at least one miss
+  /// handler and one DTLB entry, power-of-two line_size, and a
+  /// power-of-two page_size no smaller than a line.
   explicit MemorySim(const SimConfig& config);
 
   MemorySim(const MemorySim&) = delete;
   MemorySim& operator=(const MemorySim&) = delete;
 
   /// Charges `cycles` of instruction execution (computation).
-  void Busy(uint32_t cycles);
+  void Busy(uint32_t cycles) {
+    now_ += cycles;
+    stats_.busy_cycles += cycles;
+  }
 
   /// A demand reference covering [addr, addr+size). Charges any cache,
   /// TLB, and memory stalls. `write` only affects stats today (the model
   /// is write-allocate with writeback traffic folded into Tnext).
-  void Access(const void* addr, size_t size, bool write);
+  void Access(const void* addr, size_t size, bool write) {
+    const uint64_t a = reinterpret_cast<uint64_t>(addr);
+    const uint64_t first = a & line_mask_;
+    const uint64_t last = (a + (size == 0 ? 0 : size - 1)) & line_mask_;
+    if (first == last) {
+      AccessLine(first);
+    } else {
+      AccessLines(first, last);
+    }
+  }
 
   /// Issues a software prefetch for every line of [addr, addr+size).
   /// Never dropped: if all miss handlers are busy the request queues
@@ -52,7 +68,13 @@ class MemorySim {
   /// Records the outcome of a conditional branch at site `site`; charges
   /// the misprediction penalty as "other stall" when the 2-bit predictor
   /// is wrong.
-  void Branch(uint32_t site, bool taken);
+  void Branch(uint32_t site, bool taken) {
+    if (predictor_.RecordCounting(site, taken)) {
+      ++stats_.branch_mispredicts;
+      StallUntil(now_ + config_.branch_mispredict_penalty,
+                 &stats_.other_stall_cycles);
+    }
+  }
 
   /// Current simulated time in cycles.
   uint64_t now() const { return now_; }
@@ -78,7 +100,39 @@ class MemorySim {
   void FlushAll();
 
  private:
-  void AccessLine(uint64_t line_addr, bool write);
+  static constexpr uint64_t kNoFlush = UINT64_MAX;
+
+  /// One demand line: the TLB and L1 hit paths inline, the rest out of
+  /// line.
+  void AccessLine(uint64_t line_addr) {
+    if (now_ >= next_flush_) PeriodicFlush();
+
+    // Hardware-walked TLB; demand misses expose the walk latency.
+    if (!tlb_.Lookup(line_addr)) DemandTlbMiss(line_addr);
+
+    SetAssocCache::LineInfo* info = l1_.Lookup(line_addr);
+    if (info == nullptr) {
+      L1Miss(line_addr);
+      return;
+    }
+    if (info->prefetched && !info->referenced) {
+      // First demand touch of a prefetched line.
+      if (info->ready_time > now_) {
+        ++stats_.prefetch_partial;
+        StallUntil(info->ready_time, &stats_.dcache_stall_cycles);
+      } else {
+        ++stats_.prefetch_hidden;
+      }
+    } else {
+      StallUntil(info->ready_time, &stats_.dcache_stall_cycles);
+      ++stats_.l1_hits;
+    }
+    info->referenced = true;
+  }
+
+  void AccessLines(uint64_t first, uint64_t last);
+  void DemandTlbMiss(uint64_t line_addr);
+  void L1Miss(uint64_t line_addr);
   void PrefetchLine(uint64_t line_addr);
 
   /// Books a main-memory transfer respecting the MSHR limit and the
@@ -86,11 +140,17 @@ class MemorySim {
   uint64_t IssueMemoryRequest();
 
   /// Advances simulated time to `t`, charging the delta to *bucket.
-  void StallUntil(uint64_t t, uint64_t* bucket);
+  void StallUntil(uint64_t t, uint64_t* bucket) {
+    if (t <= now_) return;
+    *bucket += t - now_;
+    now_ = t;
+  }
 
-  void MaybePeriodicFlush();
+  /// Flushes caches and TLB for every flush period that has elapsed.
+  void PeriodicFlush();
 
   SimConfig config_;
+  uint64_t line_mask_;  // clears the offset within a line
   SetAssocCache l1_;
   SetAssocCache l2_;
   Tlb tlb_;
@@ -99,8 +159,13 @@ class MemorySim {
 
   uint64_t now_ = 0;
   uint64_t next_bus_free_ = 0;
-  uint64_t next_flush_ = 0;
-  std::deque<uint64_t> outstanding_;  // completion times, nondecreasing
+  uint64_t next_flush_ = kNoFlush;
+  // Completion times of the transfers holding miss handlers, oldest
+  // first: a FIFO ring of miss_handlers slots. Issue order is completion
+  // order, so the oldest is also the earliest to retire.
+  std::vector<uint64_t> handlers_;
+  uint32_t handlers_head_ = 0;
+  uint32_t handlers_busy_ = 0;
 };
 
 }  // namespace sim

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <type_traits>
 
 namespace hashjoin {
 
@@ -34,6 +35,20 @@ AlignedBuffer<T> MakeAlignedBuffer(size_t n,
                 "AlignedBuffer requires trivially destructible T");
   void* p = AlignedAlloc(n * sizeof(T), alignment);
   return AlignedBuffer<T>(new (p) T[n]);
+}
+
+/// Allocates an aligned array of n T's without constructing them. T must
+/// be trivially copyable and destructible, hence an implicit-lifetime
+/// type whose objects the allocation creates; the caller writes every
+/// element before reading it.
+template <typename T>
+AlignedBuffer<T> MakeUninitializedAlignedBuffer(
+    size_t n, size_t alignment = kCacheLineSize) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "uninitialized AlignedBuffer requires an implicit-lifetime T");
+  return AlignedBuffer<T>(
+      static_cast<T*>(AlignedAlloc(n * sizeof(T), alignment)));
 }
 
 }  // namespace hashjoin
