@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -139,22 +138,17 @@ class PinnedTable {
 
 /// Cross-query cache of built hash tables, sized by revocable memory.
 ///
-/// Capacity: a fixed byte budget by default; SetCapacityFn() replaces it
-/// with a live closure (a MemoryGrant::BudgetFn), making the cache an
-/// ordinary broker client. OnRevoke() is the grant's revoke listener:
-/// it evicts unpinned entries (lowest benefit first) until occupancy
-/// fits the shrunken grant, tallying `revoked_bytes`. Pinned entries
-/// cannot be evicted mid-probe; they are marked doomed and freed at the
-/// last Unpin, so a revoke's full effect lands as soon as probes drain.
-///
-/// The capacity closure is always invoked OUTSIDE mu_ (it takes broker
-/// locks; hjlint callback-under-lock), so its result is advisory — a
-/// revoke can land between a sample and the mutation it guards. Every
-/// revoke therefore also records its target under mu_ with a
-/// generation counter, and mutating paths clamp a sample that raced a
-/// revoke to that recorded target (RevokeEpoch / ClampToRevokesLocked),
-/// so the cache never admits or retains bytes above a revoked grant on
-/// the strength of a stale sample.
+/// Capacity: the constructor's byte budget, changed only by
+/// OnGrantResize(), the listener the broker pushes the cache grant's
+/// every size change to (MemoryGrant::SetRevokeListener). Calls run
+/// outside every lock and can arrive out of order, so each carries the
+/// grant's generation and only a newer one is applied; capacity is a
+/// plain field under mu_, read in the same critical section as the
+/// mutation it bounds. A shrink evicts unpinned entries (lowest benefit
+/// first) until occupancy fits, tallying `revoked_bytes`. Pinned
+/// entries cannot be evicted mid-probe; they are marked doomed and
+/// freed at the last Unpin, so a revoke's full effect lands as soon as
+/// probes drain.
 ///
 /// Eviction is LRU-by-benefit (GreedyDual-Size): each entry carries
 /// H = L + rebuild_cycles / bytes where L is the inflation floor (the H
@@ -198,16 +192,13 @@ class HashTableCache {
   /// old version, then the entry is freed. Returns entries affected.
   uint64_t Invalidate(uint64_t relation_id) HJ_EXCLUDES(mu_);
 
-  /// Replaces the static capacity with a live byte budget (a broker
-  /// grant's BudgetFn). The closure must outlive the cache.
-  void SetCapacityFn(std::function<uint64_t()> fn) HJ_EXCLUDES(mu_);
+  /// Grant listener body: sets the capacity to `bytes` unless a
+  /// resize with a generation >= `generation` was already applied, and
+  /// evicts down to it. Safe from any thread; bytes evicted here (and at
+  /// unpin while shrinking) count as `revoked_bytes`.
+  void OnGrantResize(uint64_t bytes, uint64_t generation) HJ_EXCLUDES(mu_);
 
-  /// Revoke listener body for the cache's grant: records the shrunken
-  /// budget and evicts down to it. Safe from any thread; bytes evicted
-  /// here (and at unpin while shrinking) count as `revoked_bytes`.
-  void OnRevoke(uint64_t new_capacity_bytes) HJ_EXCLUDES(mu_);
-
-  /// Current capacity in bytes (live closure when set).
+  /// Current capacity in bytes.
   uint64_t capacity_bytes() const HJ_EXCLUDES(mu_);
 
   CacheStats stats() const HJ_EXCLUDES(mu_);
@@ -230,35 +221,12 @@ class HashTableCache {
   /// pinned).
   void ShrinkLocked(uint64_t capacity, bool from_revoke) HJ_REQUIRES(mu_);
 
-  /// Current capacity: samples the live closure (outside mu_ — the
-  /// closure is a broker grant's and may take other locks) or the
-  /// static budget. The result is ADVISORY: it was true at some point
-  /// during the call, but a revoke can land before the caller re-locks.
-  /// Mutating paths must bracket the sample with RevokeEpoch() /
-  /// ClampToRevokesLocked() so a racing revoke's target wins over the
-  /// stale sample.
-  uint64_t LiveCapacity() const HJ_EXCLUDES(mu_);
-
-  /// Revoke generation counter, for the sample-validation bracket:
-  /// read the epoch, sample LiveCapacity(), lock mu_, then clamp with
-  /// ClampToRevokesLocked(). A revoke that fires before the epoch read
-  /// is already reflected in the closure's value; one that fires after
-  /// it is caught by the epoch comparison.
-  uint64_t RevokeEpoch() const HJ_EXCLUDES(mu_);
-
-  /// Returns `sampled_cap` unless revoke_epoch_ advanced past
-  /// `epoch_before` (a revoke raced the caller's unlocked capacity
-  /// sample), in which case the sample is stale on the high side and is
-  /// clamped to the racing revoke's recorded target.
-  uint64_t ClampToRevokesLocked(uint64_t sampled_cap,
-                                uint64_t epoch_before) const
-      HJ_REQUIRES(mu_);
-
   void EraseLocked(const CacheKey& key) HJ_REQUIRES(mu_);
 
   mutable Mutex mu_;
-  uint64_t static_capacity_ HJ_GUARDED_BY(mu_);
-  std::function<uint64_t()> capacity_fn_ HJ_GUARDED_BY(mu_);
+  uint64_t capacity_ HJ_GUARDED_BY(mu_);
+  /// Generation of the last resize applied (0: the constructor's).
+  uint64_t generation_ HJ_GUARDED_BY(mu_) = 0;
   std::unordered_map<CacheKey, std::unique_ptr<CachedTable>, KeyPtrHash>
       entries_ HJ_GUARDED_BY(mu_);
   uint64_t charged_bytes_ HJ_GUARDED_BY(mu_) = 0;
@@ -267,13 +235,6 @@ class HashTableCache {
   /// Set while a revoke left pinned-only overflow behind; makes Unpin
   /// count its deferred evictions as revoked bytes.
   bool revoke_shrink_pending_ HJ_GUARDED_BY(mu_) = false;
-  /// Bumped by every OnRevoke, under mu_. See RevokeEpoch().
-  uint64_t revoke_epoch_ HJ_GUARDED_BY(mu_) = 0;
-  /// Capacity target of the most recent revoke (min-combined with the
-  /// live budget, and with any concurrent revoke's target, at
-  /// notification time). Only consulted by samplers whose epoch
-  /// changed mid-sample, so a later re-grant naturally supersedes it.
-  uint64_t last_revoke_cap_ HJ_GUARDED_BY(mu_) = UINT64_MAX;
   CacheStats stats_ HJ_GUARDED_BY(mu_);
 };
 

@@ -147,15 +147,17 @@ struct DiskJoinConfig {
   /// the paper's Figure 9 shape.
   bool hybrid_residency = false;
 
-  /// Installs this join's revoke listener on the caller's grant (e.g.
-  /// `[&grant](auto fn) { grant.SetRevokeListener(std::move(fn)); }`).
-  /// The hybrid join uses it to learn the post-revoke grant size at the
+  /// Installs this join's grant listener, which receives every new grant
+  /// size, revoke and re-grow alike (QueryContext::
+  /// RevokeListenerInstaller adapts MemoryGrant::SetRevokeListener). The
+  /// hybrid join uses it to learn the post-revoke grant size at the
   /// moment of the revoke and evict victims at the next page boundary,
-  /// instead of discovering the squeeze at its next budget poll. The
-  /// join installs an empty listener on exit (the hint closure captures
-  /// `this`), and the listener itself only stores to an atomic — it
-  /// never calls back into the broker, per the SetRevokeListener
-  /// contract.
+  /// instead of discovering the squeeze at its next budget poll; a
+  /// re-grow replaces a stale revoke hint. The join installs an empty
+  /// listener on exit (the hint closure captures `this`) and relies on
+  /// that call waiting out in-flight notifications. The listener only
+  /// stores to an atomic — it never calls back into the broker, per the
+  /// SetRevokeListener contract.
   std::function<void(std::function<void(uint64_t)>)> install_revoke_listener;
 };
 

@@ -7,21 +7,20 @@
 
 namespace hashjoin {
 
-void MemoryGrant::SetRevokeListener(std::function<void(uint64_t)> fn) {
-  std::function<void(uint64_t)> catch_up;
+void MemoryGrant::SetRevokeListener(Listener fn) {
+  const bool install = fn != nullptr;
   {
     MutexLock lock(listener_mu_);
-    revoke_listener_ = std::move(fn);
-    // Catch-up: a listener installed after a revoke already fired would
-    // otherwise wait forever for a notification that is not coming —
-    // the broker only notifies at revoke time. Fire it once with the
-    // live grant size, from this (installing) thread, outside the lock.
-    if (revoke_listener_ != nullptr &&
-        revokes_.load(std::memory_order_relaxed) > 0) {
-      catch_up = revoke_listener_;
-    }
+    while (listener_calls_ > 0) listener_cv_.Wait(lock);
+    listener_ = std::move(fn);
   }
-  if (catch_up != nullptr) catch_up(bytes());
+  // Catch-up: the broker only notifies at change time, so a listener
+  // installed after a change would otherwise wait for the next one.
+  if (install && broker_ != nullptr) {
+    std::vector<MemoryBroker::Notice> notices;
+    broker_->CatchUp(this, &notices);
+    MemoryBroker::Deliver(&notices);
+  }
 }
 
 void MemoryGrant::Release() {
@@ -29,6 +28,10 @@ void MemoryGrant::Release() {
     broker_->ReleaseGrant(this);
     broker_ = nullptr;
   }
+  // Out of the broker, no new notice can name this grant; wait for the
+  // queued ones, whose listener copies may capture what dies with us.
+  MutexLock lock(listener_mu_);
+  while (listener_calls_ > 0) listener_cv_.Wait(lock);
 }
 
 MemoryBroker::MemoryBroker(uint64_t total_budget)
@@ -60,6 +63,30 @@ uint64_t MemoryBroker::RevocableLocked() const {
   return surplus;
 }
 
+void MemoryBroker::QueueNoticeLocked(MemoryGrant* grant,
+                                     std::vector<Notice>* out) {
+  MutexLock lock(grant->listener_mu_);
+  if (grant->listener_ == nullptr) return;
+  ++grant->listener_calls_;
+  out->push_back({grant, grant->listener_, grant->bytes(),
+                  grant->revokes() + grant->regrows()});
+}
+
+void MemoryBroker::Deliver(std::vector<Notice>* notices) {
+  for (Notice& n : *notices) {
+    n.fn(n.bytes, n.generation);
+    MutexLock lock(n.grant->listener_mu_);
+    // Notify under the lock: once the count reads 0, the waiter may
+    // destroy the grant, condition variable included.
+    if (--n.grant->listener_calls_ == 0) n.grant->listener_cv_.NotifyAll();
+  }
+}
+
+void MemoryBroker::CatchUp(MemoryGrant* grant, std::vector<Notice>* out) {
+  MutexLock lock(mu_);
+  if (grant->revokes() + grant->regrows() > 0) QueueNoticeLocked(grant, out);
+}
+
 StatusOr<std::unique_ptr<MemoryGrant>> MemoryBroker::Acquire(
     uint64_t min_bytes, uint64_t desired_bytes, double timeout_seconds,
     GrantClass grant_class) {
@@ -77,8 +104,7 @@ StatusOr<std::unique_ptr<MemoryGrant>> MemoryBroker::Acquire(
                             std::chrono::duration<double>(
                                 timeout_seconds < 0 ? 0 : timeout_seconds));
 
-  // Revokes to fire once the lock is dropped: (listener, new_bytes).
-  std::vector<std::pair<std::function<void(uint64_t)>, uint64_t>> notify;
+  std::vector<Notice> notices;
   std::unique_ptr<MemoryGrant> grant;
   {
     MutexLock lock(mu_);
@@ -159,12 +185,7 @@ StatusOr<std::unique_ptr<MemoryGrant>> MemoryBroker::Acquire(
       }
       victim->revokes_.fetch_add(1, std::memory_order_relaxed);
       total_revokes_.fetch_add(1, std::memory_order_relaxed);
-      {
-        MutexLock llock(victim->listener_mu_);
-        if (victim->revoke_listener_) {
-          notify.emplace_back(victim->revoke_listener_, now_bytes);
-        }
-      }
+      QueueNoticeLocked(victim, &notices);
       take += cut;
     }
 
@@ -172,21 +193,25 @@ StatusOr<std::unique_ptr<MemoryGrant>> MemoryBroker::Acquire(
                                 grant_class));
     grants_.push_back(grant.get());
   }
-  for (auto& [fn, new_bytes] : notify) fn(new_bytes);
+  Deliver(&notices);
   return grant;
 }
 
 void MemoryBroker::ReleaseGrant(MemoryGrant* grant) {
-  MutexLock lock(mu_);
-  auto it = std::find(grants_.begin(), grants_.end(), grant);
-  HJ_CHECK(it != grants_.end()) << "double release of a memory grant";
-  grants_.erase(it);
-  free_ += grant->bytes();
-  grant->bytes_.store(0, std::memory_order_relaxed);
-  RedistributeLocked();
+  std::vector<Notice> notices;
+  {
+    MutexLock lock(mu_);
+    auto it = std::find(grants_.begin(), grants_.end(), grant);
+    HJ_CHECK(it != grants_.end()) << "double release of a memory grant";
+    grants_.erase(it);
+    free_ += grant->bytes();
+    grant->bytes_.store(0, std::memory_order_relaxed);
+    RedistributeLocked(&notices);
+  }
+  Deliver(&notices);
 }
 
-void MemoryBroker::RedistributeLocked() {
+void MemoryBroker::RedistributeLocked(std::vector<Notice>* notices) {
   // kNormal before kCache (active joins un-spill before the cache
   // re-inflates); within a class, oldest grant first — queries that
   // have waited (and spilled) longest get their memory back first.
@@ -201,6 +226,7 @@ void MemoryBroker::RedistributeLocked() {
       g->bytes_.fetch_add(give, std::memory_order_relaxed);
       g->regrows_.fetch_add(1, std::memory_order_relaxed);
       total_regrows_.fetch_add(1, std::memory_order_relaxed);
+      QueueNoticeLocked(g, notices);
     }
   }
   budget_cv_.NotifyAll();

@@ -44,6 +44,10 @@ enum class GrantClass {
 /// BudgetFn().
 class MemoryGrant {
  public:
+  /// Receives every size change: the grant's new size and its
+  /// generation, `revokes() + regrows()` at the change.
+  using Listener = std::function<void(uint64_t new_bytes, uint64_t generation)>;
+
   ~MemoryGrant() { Release(); }
 
   MemoryGrant(const MemoryGrant&) = delete;
@@ -76,27 +80,28 @@ class MemoryGrant {
     return low_watermark_.load(std::memory_order_relaxed);
   }
 
-  /// Installs a callback invoked after each revoke with the new grant
-  /// size. The polling-based spill path does not need this; it exists
-  /// for callers that want to react eagerly (e.g. the hybrid join's
-  /// victim eviction hint).
+  /// Installs the callback the broker pushes every size change to,
+  /// revoke and re-grow alike, with the new size and its generation.
+  /// Replacing the listener (also with `{}`) and releasing the grant
+  /// first wait for in-flight calls to the old one to return, so a
+  /// listener may capture objects that die right after it is
+  /// uninstalled.
   ///
-  /// Locking contract:
-  ///  - The callback runs on the *revoking* thread (another query's
-  ///    admission path) with no broker locks held. It must not call
-  ///    back into the broker or this grant's Acquire/Release machinery
-  ///    synchronously — not because it would deadlock today, but
-  ///    because it would stall the other query's admission on work of
-  ///    arbitrary duration. Store the value (an atomic) and return.
-  ///  - If a revoke already fired before installation, the new listener
-  ///    is invoked once immediately — from the *installing* thread,
-  ///    outside the listener lock — with the live grant size, so a
-  ///    late installer never misses the current value. That catch-up
-  ///    call can race a concurrent revoke's notification, so the
-  ///    callback must be safe to run from either thread at any time
-  ///    (values may arrive out of order; treat the smallest recently
-  ///    seen value as binding, or re-poll bytes()).
-  void SetRevokeListener(std::function<void(uint64_t new_bytes)> fn);
+  /// Contract:
+  ///  - The callback runs on the thread that changed the size (another
+  ///    query's admission or release) with no broker locks held. It must
+  ///    not call back into the broker or this grant: it would stall
+  ///    that query on work of arbitrary duration, and an install or
+  ///    release from inside it waits for itself. Store the value and
+  ///    return.
+  ///  - If the grant changed size before installation (generation > 0),
+  ///    the new listener is invoked once from the installing thread with
+  ///    the live size, so a late installer never misses the current
+  ///    value.
+  ///  - Calls are not serialized: two can arrive out of order. A
+  ///    consumer that keeps a size applies a call only if its generation
+  ///    is newer than the last one it applied.
+  void SetRevokeListener(Listener fn);
 
   /// Returns all bytes to the broker. Idempotent; also run by the dtor.
   void Release();
@@ -123,7 +128,10 @@ class MemoryGrant {
   std::atomic<uint64_t> revokes_{0};
   std::atomic<uint64_t> regrows_{0};
   Mutex listener_mu_;
-  std::function<void(uint64_t)> revoke_listener_ HJ_GUARDED_BY(listener_mu_);
+  CondVar listener_cv_;
+  Listener listener_ HJ_GUARDED_BY(listener_mu_);
+  /// Snapshots of listener_ queued or running outside the lock.
+  uint64_t listener_calls_ HJ_GUARDED_BY(listener_mu_) = 0;
 };
 
 /// Hands out revocable memory grants from one global budget.
@@ -137,7 +145,8 @@ class MemoryGrant {
 /// whose minimum exceeds free-plus-revocable blocks (bounded by its
 /// timeout) until a release makes room. Released bytes are redistributed
 /// to shrunken grants in acquisition order (oldest first), re-growing
-/// them toward `desired` — the un-spill signal.
+/// them toward `desired` — the un-spill signal. Each revoke and re-grow
+/// is pushed to the grant's listener once mu_ is dropped.
 ///
 /// All methods are thread-safe.
 class MemoryBroker {
@@ -199,19 +208,41 @@ class MemoryBroker {
  private:
   friend class MemoryGrant;
 
+  /// One size change for a grant's listener, snapshotted under mu_ and
+  /// delivered after it is dropped.
+  struct Notice {
+    MemoryGrant* grant;
+    MemoryGrant::Listener fn;
+    uint64_t bytes;
+    uint64_t generation;
+  };
+
+  /// Queues `grant`'s current size for its listener, if one is
+  /// installed, and counts the call in flight until Deliver() ends it.
+  void QueueNoticeLocked(MemoryGrant* grant, std::vector<Notice>* out)
+      HJ_REQUIRES(mu_);
+
+  /// Runs queued notices. Call with no lock held.
+  static void Deliver(std::vector<Notice>* notices);
+
+  /// The install-time catch-up: queues `grant`'s size if it has ever
+  /// changed, under mu_ so it is ordered with the broker's own notices.
+  void CatchUp(MemoryGrant* grant, std::vector<Notice>* out)
+      HJ_EXCLUDES(mu_);
+
   /// Returns `grant`'s bytes to the pool and redistributes.
   void ReleaseGrant(MemoryGrant* grant) HJ_EXCLUDES(mu_);
 
-  /// Gives free bytes to shrunken grants (oldest first, up to desired)
-  /// and wakes blocked Acquire() calls.
-  void RedistributeLocked() HJ_REQUIRES(mu_);
+  /// Gives free bytes to shrunken grants (oldest first, up to desired),
+  /// queues their notices and wakes blocked Acquire() calls.
+  void RedistributeLocked(std::vector<Notice>* notices) HJ_REQUIRES(mu_);
 
   /// Sum of revocable surplus (bytes above min) across grants.
   uint64_t RevocableLocked() const HJ_REQUIRES(mu_);
 
   const uint64_t total_budget_;
-  /// Lock order: mu_ before a grant's listener_mu_ (Acquire revokes a
-  /// victim and snapshots its listener under both).
+  /// Lock order: mu_ before a grant's listener_mu_ (a size change
+  /// snapshots the grant's listener under both).
   mutable Mutex mu_;
   CondVar budget_cv_;
   uint64_t free_ HJ_GUARDED_BY(mu_) = 0;

@@ -107,12 +107,19 @@ class QueryContext {
   std::function<uint64_t()> GrantFn() const { return grant_->BudgetFn(); }
 
   /// The closure to wire into `DiskJoinConfig::install_revoke_listener`:
-  /// lets the join (re)install its revoke listener on this query's grant
-  /// without holding a reference to the grant itself. Valid while this
-  /// context lives.
+  /// lets the join (re)install its listener on this query's grant
+  /// without holding a reference to the grant itself. The listener gets
+  /// every new grant size, revoke and re-grow alike, without the
+  /// generation. Valid while this context lives.
   std::function<void(std::function<void(uint64_t)>)> RevokeListenerInstaller() {
     return [this](std::function<void(uint64_t)> fn) {
-      grant_->SetRevokeListener(std::move(fn));
+      MemoryGrant::Listener listener;
+      if (fn) {
+        listener = [fn = std::move(fn)](uint64_t bytes, uint64_t) {
+          fn(bytes);
+        };
+      }
+      grant_->SetRevokeListener(std::move(listener));
     };
   }
 

@@ -25,18 +25,8 @@ class BranchPredictor {
     return predicted_taken != taken;
   }
 
-  uint64_t mispredicts() const { return mispredicts_; }
-
-  /// Record() + mispredict accounting in one call.
-  bool RecordCounting(uint32_t site, bool taken) {
-    bool miss = Record(site, taken);
-    if (miss) ++mispredicts_;
-    return miss;
-  }
-
  private:
   std::vector<uint8_t> counters_;
-  uint64_t mispredicts_ = 0;
 };
 
 }  // namespace sim

@@ -144,9 +144,9 @@ void MemorySim::Prefetch(const void* addr, size_t size) {
 SimStats MemorySim::stats() const {
   SimStats s = stats_;
   // L1 conflict victims: prefetched lines evicted before their first
-  // demand touch (the paper's Figure 13/17 "cache conflict" pathology).
-  s.prefetch_evicted_before_use = l1_.evicted_before_use();
-  s.branch_mispredicts = predictor_.mispredicts();
+  // demand touch (the paper's Figure 13/17 "cache conflict" pathology),
+  // on top of the workers' merged in by AddStats.
+  s.prefetch_evicted_before_use += l1_.evicted_before_use();
   return s;
 }
 

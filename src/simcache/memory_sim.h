@@ -69,7 +69,7 @@ class MemorySim {
   /// the misprediction penalty as "other stall" when the 2-bit predictor
   /// is wrong.
   void Branch(uint32_t site, bool taken) {
-    if (predictor_.RecordCounting(site, taken)) {
+    if (predictor_.Record(site, taken)) {
       ++stats_.branch_mispredicts;
       StallUntil(now_ + config_.branch_mispredict_penalty,
                  &stats_.other_stall_cycles);

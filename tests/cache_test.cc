@@ -141,7 +141,7 @@ TEST(HashTableCacheTest, EvictionOrderIsLowestBenefitFirst) {
   ASSERT_TRUE(OfferEntry(&cache, b, 1000, 1e6));
   ASSERT_TRUE(OfferEntry(&cache, c, 1000, 1e9));
   const uint64_t occupancy = cache.stats().charged_bytes;
-  cache.OnRevoke(occupancy / 3 + 1);
+  cache.OnGrantResize(occupancy / 3 + 1, /*generation=*/1);
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_GT(cache.stats().revoked_bytes, 0u);
   EXPECT_FALSE(cache.Acquire(a));
@@ -158,7 +158,7 @@ TEST(HashTableCacheTest, RevokeDefersEvictionOfPinnedEntries) {
     cache::PinnedTable pin = cache.Acquire(key);
     ASSERT_TRUE(pin);
     // Revoke to zero: the pinned entry cannot go yet.
-    cache.OnRevoke(0);
+    cache.OnGrantResize(0, /*generation=*/1);
     EXPECT_EQ(cache.stats().entries, 1u);
     EXPECT_EQ(cache.stats().revoked_bytes, 0u);
     // Still probeable while pinned (reader finishes against old table).
@@ -170,29 +170,21 @@ TEST(HashTableCacheTest, RevokeDefersEvictionOfPinnedEntries) {
 }
 
 TEST(HashTableCacheTest, RevokeRacingUnpinStillCompletesDeferredShrink) {
-  // Regression: Unpin samples capacity via the closure BEFORE taking
-  // the cache lock. A revoke landing in that window must not be lost —
-  // the last Unpin has to finish the revoke's deferred shrink, not
-  // compare against the stale pre-revoke budget and falsely clear the
-  // pending flag. The closure fires OnRevoke(0) reentrantly on its
-  // first armed call, which lands the revoke exactly inside Unpin's
-  // sample window (the closure runs with no cache lock held).
+  // Grant notifications run outside every lock, so a resize snapshotted
+  // before a revoke can be delivered after it. That stale, larger size
+  // (lower generation) must not undo the revoke's deferred shrink: the
+  // last Unpin still has to finish it.
   cache::HashTableCache cache(1ull << 30);
   cache::CacheKey key{31, 1, 0};
   ASSERT_TRUE(OfferEntry(&cache, key, 1000, 1e6));
   const uint64_t charged = cache.stats().charged_bytes;
-  std::atomic<bool> armed{false};
-  cache.SetCapacityFn([&] {
-    if (armed.exchange(false)) cache.OnRevoke(0);
-    return uint64_t(1) << 30;  // stale pre-revoke budget
-  });
   {
     cache::PinnedTable pin = cache.Acquire(key);
     ASSERT_TRUE(pin);
-    armed = true;
-    // pin's destructor runs Unpin: the revoke fires mid-sample, defers
-    // (the entry is still pinned), and the clamp makes this same Unpin
-    // finish the shrink once the pin drops.
+    cache.OnGrantResize(0, /*generation=*/2);        // the revoke: deferred
+    cache.OnGrantResize(1ull << 30, /*generation=*/1);  // stale re-grow
+    EXPECT_EQ(cache.capacity_bytes(), 0u);
+    EXPECT_EQ(cache.stats().entries, 1u);
   }
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().revoked_bytes, charged);
@@ -200,21 +192,17 @@ TEST(HashTableCacheTest, RevokeRacingUnpinStillCompletesDeferredShrink) {
 }
 
 TEST(HashTableCacheTest, RevokeRacingOfferIsNotAdmittedOverBudget) {
-  // Same window in Offer: an insert admitted against a pre-revoke
-  // sample would sit above the revoked grant with no pending flag left
-  // to correct it. The clamp must reject it.
+  // Same race seen by Offer: a stale larger size arriving after a newer
+  // revoke must not admit an insert above the revoked size.
   cache::HashTableCache cache(1ull << 30);
-  std::atomic<bool> armed{false};
-  cache.SetCapacityFn([&] {
-    if (armed.exchange(false)) cache.OnRevoke(1);
-    return uint64_t(1) << 30;
-  });
-  armed = true;
+  cache.OnGrantResize(1, /*generation=*/2);
+  cache.OnGrantResize(1ull << 30, /*generation=*/1);
   cache::CacheKey key{32, 1, 0};
   EXPECT_FALSE(OfferEntry(&cache, key, 1000, 1e6));
   EXPECT_EQ(cache.stats().charged_bytes, 0u);
   EXPECT_EQ(cache.stats().rejected_inserts, 1u);
-  // After the revoke settles, the (re-grown) live budget applies again.
+  // A genuinely newer re-grow applies.
+  cache.OnGrantResize(1ull << 30, /*generation=*/3);
   EXPECT_TRUE(OfferEntry(&cache, key, 1000, 1e6));
 }
 
@@ -267,16 +255,17 @@ TEST(HashTableCacheTest, PinDisciplineUnderConcurrentProbesAndUpdates) {
 }
 
 TEST(HashTableCacheTest, DestructorChecksCleanShutdownAfterChurn) {
-  // Revoke storm against a live cache: concurrent Offer/Acquire/OnRevoke
-  // from several threads, then a normal destruction — TSAN validates the
-  // locking, the dtor validates no pin leaked.
+  // Resize storm against a live cache: concurrent Offer/Acquire/
+  // OnGrantResize from several threads, then a normal destruction — TSAN
+  // validates the locking, the dtor validates no pin leaked.
   cache::HashTableCache cache(8ull << 20);
   std::atomic<bool> stop{false};
   std::thread revoker([&] {
     uint64_t cap = 8ull << 20;
+    uint64_t generation = 0;
     while (!stop.load(std::memory_order_acquire)) {
       cap = cap > (1ull << 18) ? cap / 2 : 8ull << 20;
-      cache.OnRevoke(cap);
+      cache.OnGrantResize(cap, ++generation);
     }
   });
   std::vector<std::thread> workers;
@@ -376,6 +365,39 @@ TEST(JoinSchedulerCacheTest, CacheGrantWiredAndReused) {
     EXPECT_EQ(qs.output_tuples, w.expected_matches);
   }
   EXPECT_EQ(hit_count.load(), 2);  // first misses, the rest reuse
+}
+
+TEST(JoinSchedulerCacheTest, RegrowAfterRevokeReachesCache) {
+  // Through the scheduler's real wiring: a normal grant squeezes the
+  // cache grant to its minimum, then releases. The re-grow has to reach
+  // the cache, not only the grant.
+  SchedulerConfig cfg;
+  cfg.max_concurrent = 1;
+  cfg.pool_threads = 1;
+  cfg.memory_budget = 2ull << 20;
+  cfg.cache_bytes = 1ull << 20;
+  JoinScheduler sched(cfg);
+  cache::HashTableCache* cache = sched.table_cache();
+  ASSERT_NE(cache, nullptr);
+  MemoryBroker& broker = sched.broker();
+  // With no query running, the cache grant is the broker's only one.
+  auto cache_grant_bytes = [&] {
+    return broker.total_budget() - broker.free_bytes();
+  };
+  EXPECT_EQ(cache->capacity_bytes(), cfg.cache_bytes);
+
+  auto normal = broker.Acquire(broker.total_budget() - 64 * 1024,
+                               broker.total_budget() - 64 * 1024, 0);
+  ASSERT_TRUE(normal.ok());
+  EXPECT_EQ(cache->capacity_bytes(), 64u * 1024);
+  cache::CacheKey key{41, 1, 0};
+  EXPECT_FALSE(OfferEntry(cache, key, 2000, 1e6));  // only fits re-grown
+
+  normal.value()->Release();
+  EXPECT_EQ(cache->capacity_bytes(), cache_grant_bytes());
+  EXPECT_EQ(cache->capacity_bytes(), cfg.cache_bytes);
+  EXPECT_TRUE(OfferEntry(cache, key, 2000, 1e6));
+  EXPECT_GT(cache->stats().charged_bytes, 64u * 1024);
 }
 
 TEST(ReplayTest, TraceIsDeterministicAndUpdatesBumpVersions) {

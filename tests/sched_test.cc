@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -216,7 +217,7 @@ TEST(MemoryBrokerTest, RevokeListenerFiresWithNewSize) {
   auto a = broker.Acquire(20 * kKiB, 100 * kKiB);
   ASSERT_TRUE(a.ok());
   std::atomic<uint64_t> seen{0};
-  a.value()->SetRevokeListener([&](uint64_t b) { seen.store(b); });
+  a.value()->SetRevokeListener([&](uint64_t b, uint64_t) { seen.store(b); });
   auto b = broker.Acquire(30 * kKiB, 30 * kKiB);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(seen.load(), 70 * kKiB);
@@ -230,7 +231,7 @@ TEST(MemoryBrokerTest, LateListenerInstallCatchesUpOnPastRevokes) {
   // Before any revoke, installing must NOT fire — nothing was missed,
   // and a spurious call would look like a revoke that never happened.
   std::atomic<uint64_t> calls{0}, seen{0};
-  auto listener = [&](uint64_t b) {
+  auto listener = [&](uint64_t b, uint64_t) {
     calls.fetch_add(1);
     seen.store(b);
   };
@@ -261,7 +262,7 @@ TEST(MemoryBrokerTest, RevokeListenerIsSafeUnderConcurrentRevokes) {
   auto a = broker.Acquire(16 * kKiB, 128 * kKiB);
   ASSERT_TRUE(a.ok());
   std::atomic<uint64_t> min_seen{UINT64_MAX};
-  a.value()->SetRevokeListener([&](uint64_t b) {
+  a.value()->SetRevokeListener([&](uint64_t b, uint64_t) {
     uint64_t cur = min_seen.load();
     while (b < cur && !min_seen.compare_exchange_weak(cur, b)) {
     }
@@ -287,6 +288,62 @@ TEST(MemoryBrokerTest, RevokeListenerIsSafeUnderConcurrentRevokes) {
   // Values may arrive out of order, but the smallest notified size is
   // exactly the smallest the grant ever held.
   EXPECT_EQ(min_seen.load(), a.value()->low_watermark());
+}
+
+TEST(MemoryBrokerTest, UninstallWaitsForInFlightListenerCall) {
+  // The broker calls a snapshot of the listener after dropping its
+  // locks. Uninstalling must wait for that call to return, or a
+  // listener capturing a stack object (the disk join's `this`) could
+  // run after the object is gone.
+  MemoryBroker broker(100 * kKiB);
+  auto a = broker.Acquire(20 * kKiB, 100 * kKiB);
+  ASSERT_TRUE(a.ok());
+  std::promise<void> entered;
+  std::promise<void> latch;
+  std::shared_future<void> latch_released = latch.get_future().share();
+  std::atomic<bool> entered_once{false};
+  a.value()->SetRevokeListener([&](uint64_t, uint64_t) {
+    if (!entered_once.exchange(true)) entered.set_value();
+    latch_released.wait();
+  });
+
+  std::unique_ptr<MemoryGrant> b;
+  std::thread revoker([&] {
+    auto g = broker.Acquire(30 * kKiB, 30 * kKiB);
+    EXPECT_TRUE(g.ok());
+    if (g.ok()) b = std::move(g).value();
+  });
+  entered.get_future().wait();  // the revoke's notification is running
+
+  std::atomic<bool> uninstalled{false};
+  std::thread uninstaller([&] {
+    a.value()->SetRevokeListener({});
+    uninstalled.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(uninstalled.load());
+  latch.set_value();
+  uninstaller.join();
+  revoker.join();
+  EXPECT_TRUE(uninstalled.load());
+}
+
+TEST(MemoryBrokerTest, RegrowNotifiesWithNewerGeneration) {
+  // Every size change reaches the listener, re-grows included, each
+  // with the grant's revokes() + regrows() at that change.
+  MemoryBroker broker(100 * kKiB);
+  auto a = broker.Acquire(20 * kKiB, 100 * kKiB);
+  ASSERT_TRUE(a.ok());
+  std::vector<std::pair<uint64_t, uint64_t>> seen;
+  a.value()->SetRevokeListener(
+      [&](uint64_t b, uint64_t g) { seen.emplace_back(b, g); });
+  auto b = broker.Acquire(30 * kKiB, 30 * kKiB);
+  ASSERT_TRUE(b.ok());
+  b.value()->Release();
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+      {70 * kKiB, 1}, {100 * kKiB, 2}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(a.value()->regrows(), 1u);
 }
 
 // ---------- Grant-aware disk join: revoke -> spill, regrow -> un-spill --

@@ -7,9 +7,10 @@
 #
 # Each preset configures into build-<preset>/, builds, and runs its
 # labeled ctest subset (asan/ubsan -> faults|coro|tuning|cache|kernels|
-# storage|simcache — the drivers' ring indexing, the relation page chunks
-# and the simulator's TLB index, cache tags and miss-handler ring run
-# under both sanitizers, tsan -> threaded|sched|tuning|cache, analysis ->
+# storage|simcache|sched — the drivers' ring indexing, the relation page
+# chunks, the simulator's TLB index, cache tags and miss-handler ring,
+# and the broker's grant listeners run under both sanitizers,
+# tsan -> threaded|sched|tuning|cache, analysis ->
 # lint|bench-smoke, debug -> everything). The script keeps
 # going after a preset fails and exits nonzero if ANY step failed, so a
 # CI job reports the whole matrix in one run.
